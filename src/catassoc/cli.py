@@ -81,6 +81,17 @@ class RunConfig:
     max_threads: int = 1
 
 
+def _nonnegative_int(raw: str) -> int:
+    """Argument type for seeds and record counts."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {raw}")
+    return value
+
+
 def _split_vars(raw: str | None) -> list[str] | None:
     if raw is None:
         return None
@@ -390,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
     sp.add_argument("--train", type=float, default=0.8, dest="train_frac")
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_nonnegative_int, required=True)
 
     sp = sub.add_parser("bootstrap", help="stratified bootstrap of a statistic")
     common(sp)
@@ -399,17 +410,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--subset", default=None,
                     help="comma-separated variables for the statistic")
     sp.add_argument("--B", type=int, default=1000)
-    sp.add_argument("--n", type=int, default=None,
+    sp.add_argument("--n", type=_nonnegative_int, default=None,
                     help="subsample this many records first (seeded)")
     sp.add_argument("--level", type=float, default=0.95)
     sp.add_argument("--weights", choices=["gk", "ew", "ipw"], default="gk")
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_nonnegative_int, required=True)
 
     sp = sub.add_parser("simulate", help="generate synthetic data")
     sp.add_argument("model", choices=["flu"])
     common(sp, needs_input=False)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--n", type=_nonnegative_int, required=True)
+    sp.add_argument("--seed", type=_nonnegative_int, required=True)
 
     sp = sub.add_parser("fixtures", help="export a bundled dataset")
     common(sp, needs_input=False)

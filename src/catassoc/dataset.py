@@ -19,6 +19,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import contains, itemgetter
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -263,6 +265,72 @@ class JointDistribution:
         return self.p_xy.shape[1]
 
 
+def _factorize(keys: Sequence) -> tuple[list, np.ndarray, np.ndarray]:
+    """Distinct keys in first-occurrence order, the index of each key into
+    them, and the position of each distinct key's first occurrence."""
+    index: dict = {}
+    seen_at = np.fromiter(map(index.setdefault, keys, range(len(keys))),
+                          dtype=np.int64, count=len(keys))
+    first = np.fromiter(index.values(), dtype=np.int64, count=len(index))
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[first] = np.arange(len(first))
+    return list(index), rank[seen_at], first
+
+
+def _dataset(header: Sequence[str] | None, rows: list[Sequence[str]],
+             inverse: np.ndarray, first: np.ndarray,
+             missing_policy: str) -> Dataset:
+    """Validate factorized rows and expand them to a dataset.
+
+    ``rows`` holds the distinct data rows in first-occurrence order; the
+    list is emptied, so the rows are freed once encoded.  ``inverse`` maps
+    each data row of the input to its distinct row, and ``first`` gives
+    each distinct row's first position, so errors name the first offending
+    row (the header is row 1).
+    """
+    if missing_policy not in ("drop_row", "as_category"):
+        raise DataError(f"unknown missing_policy {missing_policy!r}")
+    if header is None:
+        raise DataError("empty input: no header row")
+    if not header:
+        raise DataError("empty header row")
+    if len(set(header)) != len(header):
+        raise DataError("duplicate variable names in header")
+
+    n = len(header)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    ragged = np.flatnonzero((lengths != n) & (lengths != 0))
+    if ragged.size:
+        k = ragged[0]
+        raise DataError(f"row {first[k] + 2} has {lengths[k]} cells, expected {n}")
+    keep = lengths == n  # blank rows have no cells and are skipped
+    missing = np.fromiter(map(contains, rows, repeat(MISSING)),
+                          dtype=bool, count=len(rows)) & keep
+    if missing_policy == "drop_row":
+        keep &= ~missing
+    else:
+        for k in np.flatnonzero(missing):
+            rows[k] = [MISSING_LABEL if c == MISSING else c for c in rows[k]]
+    n_kept = int(np.count_nonzero(keep))
+    if not n_kept:
+        raise DataError("no data rows after missing-value handling")
+
+    # Distinct rows are in first-occurrence order, so labels met scanning
+    # them are in first-occurrence order over the records as well.
+    kept = list(compress(rows, keep.tolist()))
+    rows.clear()
+    record_rows = (np.cumsum(keep) - 1)[inverse[keep[inverse]]]
+    # Column-major, as from_label_columns builds it: code columns are
+    # contiguous for the layers that read them.
+    records = np.empty((record_rows.size, n), dtype=np.int64, order="F")
+    variables = []
+    for j, name in enumerate(header):
+        domain, codes, _ = _factorize(list(map(itemgetter(j), kept)))
+        variables.append(Variable(name, tuple(domain)))
+        records[:, j] = codes[record_rows]
+    return Dataset(variables, records)
+
+
 def ingest_records(rows: Iterable[Sequence[str]],
                    missing_policy: str = "drop_row") -> Dataset:
     """Build a dataset from a header row followed by label rows.
@@ -271,50 +339,66 @@ def ingest_records(rows: Iterable[Sequence[str]],
     either ``"drop_row"`` (discard records with any missing cell) or
     ``"as_category"`` (recode missing cells as the label ``"NA"``).
     Domains are the distinct observed labels per column in first
-    occurrence order, so ingestion is deterministic.
+    occurrence order, so ingestion is deterministic.  Rows without cells
+    are skipped.
     """
-    if missing_policy not in ("drop_row", "as_category"):
-        raise DataError(f"unknown missing_policy {missing_policy!r}")
     it = iter(rows)
+    header = next(it, None)
+    if header is not None:
+        header = [str(h) for h in header]
+    distinct, inverse, first = _factorize([tuple(map(str, row)) for row in it])
+    return _dataset(header, distinct, inverse, first, missing_policy)
+
+
+def _decode(data: bytes) -> str:
     try:
-        header = [str(h) for h in next(it)]
-    except StopIteration:
-        raise DataError("empty input: no header row") from None
-    if not header:
-        raise DataError("empty header row")
-    if len(set(header)) != len(header):
-        raise DataError("duplicate variable names in header")
-
-    n = len(header)
-    kept: list[list[str]] = []
-    for lineno, row in enumerate(it, start=2):
-        row = [str(c) for c in row]
-        if not row:
-            continue
-        if len(row) != n:
-            raise DataError(
-                f"row {lineno} has {len(row)} cells, expected {n}"
-            )
-        if any(c == MISSING for c in row):
-            if missing_policy == "drop_row":
-                continue
-            row = [MISSING_LABEL if c == MISSING else c for c in row]
-        kept.append(row)
-    if not kept:
-        raise DataError("no data rows after missing-value handling")
-
-    columns = {header[j]: [row[j] for row in kept] for j in range(n)}
-    return Dataset.from_label_columns(columns)
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(
+            f"input is not valid UTF-8: byte 0x{data[e.start]:02x} at offset {e.start}"
+        ) from None
 
 
 def read_csv(source: Union[str, io.TextIOBase],
              missing_policy: str = "drop_row") -> Dataset:
     """Ingest a UTF-8 CSV file: first row is the header, all cells are
-    opaque category labels, empty cells are missing."""
+    opaque category labels, empty cells are missing.
+
+    ``source`` is a path or a text stream.  The text is split into lines,
+    and each distinct line is parsed once, so the cost of ingest grows with
+    the number of distinct lines more than with the number of records.  A
+    text holding a quote character (a quoted field may span lines) or a
+    lone carriage return (a line break to the csv module) is parsed whole
+    by :func:`csv.reader` instead.  Either way the result equals
+    ``ingest_records(csv.reader(f))`` over the file opened with
+    ``newline=""``.  Bytes that are not UTF-8 and fields the csv module
+    rejects raise :class:`DataError`.
+    """
     if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8", newline="") as f:
-            return ingest_records(csv.reader(f), missing_policy)
-    return ingest_records(csv.reader(source), missing_policy)
+        with open(source, "rb") as f:
+            text = _decode(f.read())
+    else:
+        text = source.read()
+    lf_text = text.replace("\r\n", "\n")
+    try:
+        if '"' in text or "\r" in lf_text:
+            return ingest_records(csv.reader(io.StringIO(text, newline="")),
+                                  missing_policy)
+        # Every record is one line.  Parse each distinct line once; the
+        # ``del``s free each stage before the next one peaks.
+        del text
+        lines = lf_text.split("\n")
+        del lf_text
+        if lines[-1] == "":
+            lines.pop()  # the final newline ends the last line
+        header = next(csv.reader(lines[:1]), None)
+        distinct, inverse, first = _factorize(lines[1:])
+        del lines
+        rows = list(map(tuple, csv.reader(distinct)))  # tuples take less memory
+        del distinct
+    except csv.Error as e:
+        raise DataError(f"malformed CSV: {e}") from None
+    return _dataset(header, rows, inverse, first, missing_policy)
 
 
 def composite(ds: Dataset, names: Sequence[str],

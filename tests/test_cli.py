@@ -138,6 +138,35 @@ class TestSimulateAndFixtures:
         assert ds.n_records == 7
 
 
+class TestInputContract:
+    def test_non_utf8_input_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"A,Y\na,0\n\xff,1\n")
+        assert main(["tau", "-i", str(p), "--x", "A", "--y", "Y"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "0xff at offset 8" in err
+
+    def test_oversized_field_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "wide.csv"
+        p.write_text("A,Y\n" + "a" * 200_000 + ",0\nb,1\n", encoding="utf-8")
+        assert main(["tau", "-i", str(p), "--x", "A", "--y", "Y"]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: malformed CSV")
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "-i", "survey", "--x", "X", "--y", "Y", "--seed", "-1"],
+        ["bootstrap", "-i", "loan", "--stat", "tau", "--response", "Risk",
+         "--seed", "-3"],
+        ["simulate", "flu", "--n", "5", "--seed", "-1"],
+        ["bootstrap", "-i", "loan", "--stat", "tau", "--response", "Risk",
+         "--n", "-2", "--seed", "1"],
+    ])
+    def test_negative_seed_or_count_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be nonnegative" in capsys.readouterr().err
+
+
 class TestReproducibility:
     def test_byte_identical_json_reruns(self, tmp_path):
         out = tmp_path / "run.json"

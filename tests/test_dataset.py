@@ -1,9 +1,12 @@
 """Dataset ingestion, contingency tables, joints, composites."""
 
+import csv
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catassoc import (
     DataError,
@@ -72,6 +75,106 @@ class TestIngest:
         ds = read_csv(io.StringIO(text))
         assert ds.n_records == 2
         assert ds.var("A").domain == ("x", "y")
+
+
+def _loop_ingest(rows, missing_policy):
+    """Row-by-row reference for ingestion: every record is checked and
+    encoded on its own."""
+    it = iter(rows)
+    try:
+        header = [str(h) for h in next(it)]
+    except StopIteration:
+        raise DataError("empty input: no header row") from None
+    if not header:
+        raise DataError("empty header row")
+    if len(set(header)) != len(header):
+        raise DataError("duplicate variable names in header")
+    kept = []
+    for lineno, row in enumerate(it, start=2):
+        row = [str(c) for c in row]
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"row {lineno} has {len(row)} cells, expected {len(header)}")
+        if "" in row:
+            if missing_policy == "drop_row":
+                continue
+            row = ["NA" if c == "" else c for c in row]
+        kept.append(row)
+    if not kept:
+        raise DataError("no data rows after missing-value handling")
+    return Dataset.from_label_columns(
+        {h: [row[j] for row in kept] for j, h in enumerate(header)})
+
+
+def _outcome(ingest):
+    """Names, domains and records of a dataset, or the DataError message."""
+    try:
+        ds = ingest()
+    except DataError as e:
+        return str(e)
+    return ds.names, [v.domain for v in ds.variables], ds.records.tolist()
+
+
+def _reference_outcomes(text, policy):
+    def rows():
+        return csv.reader(io.StringIO(text, newline=""))
+    return (_outcome(lambda: ingest_records(rows(), policy)),
+            _outcome(lambda: _loop_ingest(rows(), policy)))
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV texts over a small label alphabet with empty cells, duplicate
+    header names, blank lines, ragged rows and mixed line endings; some
+    hold quoted fields (with commas and line breaks) or a lone CR.  Cells
+    may hold characters that ``str.splitlines`` would break on."""
+    cells = ["a", "b", "c", "NA", "x y", "p\u2028q\x1cr", ""]
+    if draw(st.booleans()):
+        cells += ['"a,b"', '"c\nd"', '"e""f"', '"g\r\nh"', '"a"']
+    endings = ["\n", "\r\n"] + (["\r"] if draw(st.booleans()) else [])
+    n = draw(st.integers(1, 3))
+    header = draw(st.lists(st.sampled_from(["A", "B", "C", "D", "E", "a"]),
+                           min_size=n, max_size=n))
+    widths = [n] * 6 + ([0, n + 1, n - 1] if draw(st.booleans()) else [])
+    rows = [header]
+    for _ in range(draw(st.integers(1, 16))):
+        width = draw(st.sampled_from(widths))
+        rows.append(draw(st.lists(st.sampled_from(cells),
+                                  min_size=width, max_size=width)))
+    text = "".join(",".join(row) + draw(st.sampled_from(endings)) for row in rows)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+class TestReadCsvAgainstCsvReader:
+    """read_csv parses each distinct line once; csv.reader over the whole
+    text, through ingest_records and through the row loop, is the reference."""
+
+    @given(csv_texts(), st.sampled_from(["drop_row", "as_category"]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, text, policy):
+        fast = _outcome(lambda: read_csv(io.StringIO(text), policy))
+        assert (fast, fast) == _reference_outcomes(text, policy)
+
+    @pytest.mark.parametrize("text", ["", "\n", "\r\n", "A,B", "A,B\n",
+                                      "A,B\n\n", "\nA,B\nx,y\n", "A,B\r\rx,y"])
+    def test_edge_texts(self, text):
+        fast = _outcome(lambda: read_csv(io.StringIO(text)))
+        assert (fast, fast) == _reference_outcomes(text, "drop_row")
+
+    @pytest.mark.parametrize("policy", ["drop_row", "as_category"])
+    def test_repeated_lines_at_scale(self, policy):
+        lines = ["x,u,1", "y,u,2", "x,v,", "z,w,3", "y,v,1"]
+        picks = np.random.default_rng(5).integers(0, len(lines), 50_000)
+        text = "A,B,C\r\n" + "".join(lines[i] + "\r\n" for i in picks)
+        ds = read_csv(io.StringIO(text), policy)
+        expected = picks.size - (policy == "drop_row") * int((picks == 2).sum())
+        assert ds.n_records == expected
+        fast = _outcome(lambda: ds)
+        assert (fast, fast) == _reference_outcomes(text, policy)
 
 
 class TestContingency:
