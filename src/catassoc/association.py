@@ -180,8 +180,8 @@ def make_weights(scheme: str, p_y=None, custom=None) -> WeightVector:
         if custom is None:
             raise DataError("custom scheme needs a weight vector")
         a = np.asarray(custom, dtype=np.float64)
-        if (a < 0).any():
-            raise NumericDomainError("custom weights must be nonnegative")
+        if not np.isfinite(a).all() or (a < 0).any():
+            raise NumericDomainError("custom weights must be finite and nonnegative")
         s = a.sum()
         if s <= 0:
             raise NumericDomainError("custom weights sum to zero")

@@ -19,16 +19,15 @@ chosen by the caller.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .association import gk_tau_direct
-from .dataset import Dataset, composite, joint_from_counts
+from .dataset import CompositeVariable, Dataset, composite, joint_from_counts
 from .errors import DataError
-from .selection import ForwardStep, SelectionTrace
+from .selection import SelectionTrace, _cell_counts, _forward_backward
 
 #: Default tolerance for Ep comparisons on exact data.
 DEFAULT_EPS = 1e-12
@@ -75,91 +74,52 @@ def ep(ds: Dataset, vars: Sequence[str],
     return EpValue(float(p @ p), tuple(vars))
 
 
-def _codes_joint(x_codes: np.ndarray, nx: int, y_codes: np.ndarray, ny: int):
-    counts = np.bincount(x_codes * ny + y_codes, minlength=nx * ny).reshape(nx, ny)
-    return joint_from_counts(counts)
-
-
-def _cond_table(ds: Dataset, basis: Sequence[str], name: str,
-                max_cells: int | None) -> np.ndarray:
-    comp = composite(ds, list(basis), max_cells=max_cells)
-    y = ds.codes(name)
-    ny = ds.var(name).size
-    counts = np.bincount(comp.codes * ny + y, minlength=comp.size * ny)
-    counts = counts.reshape(comp.size, ny).astype(float)
-    rows = counts.sum(axis=1, keepdims=True)
-    return counts / rows
-
-
 def structural_basis(ds: Dataset, eps: float = DEFAULT_EPS,
-                     max_cells: int | None = None,
-                     threads: int = 1) -> SelectionTrace:
+                     max_cells: int | None = None) -> SelectionTrace:
     """Forward-backward search for a minimal determining variable set.
 
     Forward: add the variable minimizing the composite's Ep (ties broken
     by smaller resulting Ep, then smaller single-variable domain, then
     smaller column index); stop when no candidate decreases Ep by more
     than ``eps``.  Backward: in reverse pick order, drop variables whose
-    removal leaves Ep within ``eps``.
+    removal leaves Ep within ``eps``.  A forward step costs one count over
+    the records per candidate; each score equals ``ep`` of the candidate
+    set exactly.
     """
     if eps < 0:
         raise DataError("eps must be nonnegative")
     names = list(ds.names)
     if not names:
         raise DataError("dataset has no variables")
-    if max_cells is None:
-        max_cells = 10 * ds.n_records
 
-    def ep_of(vars: list[str]) -> float:
+    def score_counts(counts):
+        p = counts[:, 0] / ds.n_records
+        return float(p @ p)
+
+    def score_set(vars):
         return ep(ds, vars, max_cells=max_cells).value
 
-    def score_all(chosen: list[str], cands: list[str]) -> dict[str, float]:
-        if threads > 1 and len(cands) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                vals = list(pool.map(lambda c: ep_of(chosen + [c]), cands))
-            return dict(zip(cands, vals))
-        return {c: ep_of(chosen + [c]) for c in cands}
-
-    chosen: list[str] = []
-    steps: list[ForwardStep] = []
-    current = 1.0  # Ep of the empty composite: all mass in one cell
-    remaining = list(names)
-    while remaining:
-        scores = score_all(chosen, remaining)
-        best_val = min(scores.values())
-        tied = [c for c in remaining if scores[c] == best_val]
-        pick = min(tied, key=lambda nm: (ds.var(nm).size, ds.position(nm)))
-        if chosen and current - best_val <= eps:
-            break
-        chosen.append(pick)
-        remaining.remove(pick)
-        steps.append(ForwardStep(pick, best_val, scores))
-        current = best_val
-
-    kept = list(chosen)
-    pruned: list[str] = []
-    for v in reversed(chosen):
-        if len(kept) <= 1:
-            break
-        trial = [nm for nm in kept if nm != v]
-        val = ep_of(trial)
-        if abs(val - current) <= eps:
-            kept = trial
-            pruned.append(v)
-            current = val
-
-    return SelectionTrace(tuple(steps), tuple(pruned), tuple(kept), current,
-                          metric="ep")
+    # Ep of no variables is 1: all mass in one cell.
+    return _forward_backward(ds, names, score_counts, score_set, None,
+                             minimize=True, start=1.0, eps=eps,
+                             max_cells=max_cells, metric="ep")
 
 
-def _determines(ds: Dataset, basis: Sequence[str], name: str,
-                eps: float, max_cells: int | None) -> bool:
-    """True when ``name`` is a deterministic function of the basis cells."""
-    if ds.var(name).size < 2:
+def _determines(comp: CompositeVariable, y: np.ndarray, n_y: int, eps: float) -> bool:
+    """True when codes ``y`` in ``range(n_y)`` are a deterministic function
+    of the composite's cells."""
+    if n_y < 2:
         return True  # constant variables are determined by anything
-    comp = composite(ds, list(basis), max_cells=max_cells)
-    j = _codes_joint(comp.codes, comp.size, ds.codes(name), ds.var(name).size)
+    j = joint_from_counts(_cell_counts(comp.codes, comp.size, y, n_y))
     return gk_tau_direct(j) >= 1.0 - eps
+
+
+def _conditionals_01(ds: Dataset, comp: CompositeVariable, name: str, eps: float) -> bool:
+    """True when every probability of ``name`` given a composite cell is
+    within ``eps`` of 0 or 1."""
+    counts = _cell_counts(comp.codes, comp.size, ds.codes(name), ds.var(name).size)
+    cond = counts / counts.sum(axis=1, keepdims=True)
+    return bool(np.all((cond <= eps) | (cond >= 1.0 - eps)))
 
 
 def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
@@ -178,37 +138,27 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
         raise DataError("empty basis")
     for nm in basis:
         ds.var(nm)
-    if max_cells is None:
-        max_cells = 10 * ds.n_records
     names = list(ds.names)
+    comp_b = composite(ds, basis, max_cells=max_cells)
 
-    determined = {nm: _determines(ds, basis, nm, eps, max_cells) for nm in names}
+    determined = {nm: _determines(comp_b, ds.codes(nm), ds.var(nm).size, eps)
+                  for nm in names}
 
     # (b) random subsets as composite responses
     rng = np.random.default_rng(seed)
-    others = [nm for nm in names]
     subsets_ok = True
-    n_sub = min(subset_samples, 2 ** len(others) - 1)
-    comp_b = composite(ds, basis, max_cells=max_cells)
+    n_sub = min(subset_samples, 2 ** len(names) - 1)
     for _ in range(n_sub):
-        k = int(rng.integers(1, len(others) + 1))
-        pick = sorted(rng.choice(len(others), size=k, replace=False).tolist())
-        sub = [others[i] for i in pick]
+        k = int(rng.integers(1, len(names) + 1))
+        pick = sorted(rng.choice(len(names), size=k, replace=False).tolist())
+        sub = [names[i] for i in pick]
         comp_s = composite(ds, sub, max_cells=max_cells)
-        if comp_s.size < 2:
-            continue
-        j = _codes_joint(comp_b.codes, comp_b.size, comp_s.codes, comp_s.size)
-        if gk_tau_direct(j) < 1.0 - eps:
+        if not _determines(comp_b, comp_s.codes, comp_s.size, eps):
             subsets_ok = False
             break
 
     # (c) all conditionals 0/1
-    conditionals_01 = True
-    for nm in names:
-        cond = _cond_table(ds, basis, nm, max_cells)
-        if not np.all((cond <= eps) | (cond >= 1.0 - eps)):
-            conditionals_01 = False
-            break
+    conditionals_01 = all(_conditionals_01(ds, comp_b, nm, eps) for nm in names)
 
     # (d) minimality
     if len(basis) == 1:
@@ -216,8 +166,9 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
     else:
         minimal = True
         for v in basis:
-            reduced = [nm for nm in basis if nm != v]
-            if all(_determines(ds, reduced, nm, eps, max_cells) for nm in names):
+            reduced = composite(ds, [nm for nm in basis if nm != v], max_cells)
+            if all(_determines(reduced, ds.codes(nm), ds.var(nm).size, eps)
+                   for nm in names):
                 minimal = False
                 break
 
@@ -235,8 +186,6 @@ def minimal_basis(ds: Dataset, eps: float = DEFAULT_EPS,
     names = list(ds.names)
     if len(names) > 20:
         raise DataError("exhaustive basis search is limited to 20 variables")
-    if max_cells is None:
-        max_cells = 10 * ds.n_records
     full = ep(ds, names, max_cells=max_cells).value
     for k in range(1, len(names) + 1):
         for sub in itertools.combinations(names, k):

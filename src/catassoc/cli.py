@@ -28,7 +28,7 @@ import numpy as np
 from . import report as rep
 from .association import association_matrix, association_vector, make_weights
 from .basis import minimal_basis, structural_basis, verify_basis
-from .dataset import Dataset, contingency, read_csv, to_joint
+from .dataset import Dataset, _decode, contingency, read_csv, to_joint
 from .equivalence import equivalence_levels
 from .errors import DataError, NumericDomainError
 from .fixtures import FIXTURES, fixture
@@ -78,7 +78,6 @@ class RunConfig:
     format: str = "text"
     out: str | None = None
     missing: str = "drop_row"
-    max_threads: int = 1
 
 
 def _nonnegative_int(raw: str) -> int:
@@ -110,11 +109,16 @@ def _load(cfg: RunConfig) -> Dataset:
 
 
 def _weights_for(cfg: RunConfig, p_y):
-    if cfg.weights_file:
-        with open(cfg.weights_file, "r", encoding="utf-8") as f:
-            vals = [float(v) for row in _csv.reader(f) for v in row if v.strip()]
-        return make_weights("custom", custom=np.asarray(vals))
-    return make_weights(cfg.weights, p_y=p_y)
+    if not cfg.weights_file:
+        return make_weights(cfg.weights, p_y=p_y)
+    with open(cfg.weights_file, "rb") as f:
+        data = f.read()
+    try:
+        rows = _csv.reader(io.StringIO(_decode(data), newline=""))
+        vals = [float(c) for row in rows for c in row if c.strip()]
+    except (DataError, _csv.Error, ValueError) as e:
+        raise DataError(f"weights file {cfg.weights_file}: {e}") from None
+    return make_weights("custom", custom=np.asarray(vals))
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -192,7 +196,7 @@ def _cmd_select(cfg: RunConfig) -> str:
     ds = _load(cfg)
     trace = select_basis(ds, cfg.y,
                          alpha=_weights_for(cfg, y_marginal(ds, cfg.y)),
-                         eps_gain=cfg.eps, threads=cfg.max_threads)
+                         eps_gain=cfg.eps)
     result = rep.trace_report(trace)
     if cfg.format == "json":
         return _json_out(cfg, result)
@@ -207,7 +211,7 @@ def _cmd_select(cfg: RunConfig) -> str:
 
 def _cmd_basis(cfg: RunConfig) -> str:
     ds = _load(cfg)
-    trace = structural_basis(ds, eps=cfg.eps, threads=cfg.max_threads)
+    trace = structural_basis(ds, eps=cfg.eps)
     basis = list(trace.basis)
     if cfg.minimal:
         basis = list(minimal_basis(ds, eps=cfg.eps))
@@ -356,7 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             default="drop_row")
         sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--max-threads", type=int, default=1, dest="max_threads")
 
     sp = sub.add_parser("matrix", help="association matrix of Y given X")
     common(sp)
@@ -458,7 +461,6 @@ def main(argv=None) -> int:
         format=d.get("format", "text"),
         out=d.get("out"),
         missing=d.get("missing", "drop_row"),
-        max_threads=d.get("max_threads", 1),
     )
     if cfg.command == "equiv":
         cfg.x = [d["x1"]]

@@ -95,12 +95,13 @@ class Dataset:
         Column definitions; order fixes the column order of ``records``.
     records : ndarray of shape (m, n)
         Dense category codes; ``records[i, j]`` indexes into
-        ``variables[j].domain``.
+        ``variables[j].domain``.  Stored column-major, so each variable's
+        code column is contiguous.
     """
 
     def __init__(self, variables: Sequence[Variable], records: np.ndarray):
         variables = tuple(variables)
-        records = np.asarray(records, dtype=np.int64)
+        records = np.asarray(records, dtype=np.int64, order="F")
         if records.ndim != 2 or records.shape[1] != len(variables):
             raise DataError("records shape does not match variable count")
         if records.shape[0] < 1:
@@ -401,44 +402,64 @@ def read_csv(source: Union[str, io.TextIOBase],
     return _dataset(header, rows, inverse, first, missing_policy)
 
 
+def _dense(n_keys: int, n_records: int) -> bool:
+    """Whether keys in ``range(n_keys)`` are few enough to count, not sort."""
+    return n_keys <= 4 * n_records + 1024
+
+
+def _compact(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
+    """Rank of each key among the observed keys in sorted order (the
+    inverse ``np.unique`` returns), and the number of observed keys.
+    ``keys`` lie in ``range(n_keys)``; a dense range is ranked by counting."""
+    if _dense(n_keys, keys.size):
+        rank = np.cumsum(np.bincount(keys, minlength=n_keys) > 0) - 1
+        return rank[keys], int(rank[-1]) + 1
+    observed, codes = np.unique(keys, return_inverse=True)
+    return codes, observed.size
+
+
+def _check_cap(n_cells: int, max_cells: int | None, names: Sequence[str]) -> None:
+    if max_cells is not None and n_cells > max_cells:
+        raise DataError(
+            f"composite domain cap exceeded: {n_cells} observed cells "
+            f"> {max_cells} for parts {list(names)}"
+        )
+
+
 def composite(ds: Dataset, names: Sequence[str],
               max_cells: int | None = None) -> CompositeVariable:
     """Observed-tuple composite of several variables.
 
-    The domain holds only tuples that occur in the data; its size is
-    bounded by both the record count and the product of part domain
-    sizes.  ``max_cells`` caps the observed domain size; plug-in
-    estimates over a composite whose cells are mostly singletons carry
-    no information, so selection runs bound it.
+    The domain holds only tuples that occur in the data, sorted by part
+    codes; its size is bounded by both the record count and the product
+    of part domain sizes.  ``max_cells`` caps the observed domain size;
+    plug-in estimates over a composite whose cells are mostly singletons
+    carry no information, so selection runs bound it.
+
+    The parts are folded into one integer key, re-ranked by
+    :func:`_compact` only when the next part would make its range too
+    large to count; the cost is a few passes over the records per part.
     """
     names = list(names)
     if not names:
         raise DataError("composite needs at least one variable")
     if len(set(names)) != len(names):
         raise DataError("composite parts must be distinct")
-    sizes = [ds.var(nm).size for nm in names]
-    dense = 1
-    for s in sizes:
-        dense *= s
-
-    cols = np.stack([ds.codes(nm) for nm in names], axis=1)
-    if dense < 2 ** 62:
-        keys = np.ravel_multi_index(cols.T, sizes)
-        uniq, codes = np.unique(keys, return_inverse=True)
-        idx = np.stack(np.unravel_index(uniq, sizes), axis=1)
-    else:  # keys would overflow int64; group full rows instead
-        idx, codes = np.unique(cols, axis=0, return_inverse=True)
-    if max_cells is not None and idx.shape[0] > max_cells:
-        raise DataError(
-            f"composite domain cap exceeded: {idx.shape[0]} observed cells "
-            f"> {max_cells} for parts {names}"
-        )
-    domains = [ds.var(nm).domain for nm in names]
-    domain = tuple(
-        tuple(domains[j][idx[i, j]] for j in range(len(names)))
-        for i in range(idx.shape[0])
-    )
-    return CompositeVariable(tuple(names), domain, codes.astype(np.int64))
+    variables = [ds.var(nm) for nm in names]
+    keys, n_keys = ds.codes(names[0]), variables[0].size
+    for nm, v in zip(names[1:], variables[1:]):
+        if not _dense(n_keys * v.size, ds.n_records):
+            keys, n_keys = _compact(keys, n_keys)
+        keys = keys * v.size + ds.codes(nm)
+        n_keys *= v.size
+    codes, size = _compact(keys, n_keys)
+    _check_cap(size, max_cells, names)
+    # One record of each cell gives the cell's labels.
+    rows = np.empty(size, dtype=np.int64)
+    rows[codes] = np.arange(codes.size)
+    labels = [list(map(v.domain.__getitem__, ds.codes(nm)[rows].tolist()))
+              for nm, v in zip(names, variables)]
+    return CompositeVariable(tuple(names), tuple(zip(*labels)), codes)
 
 
 VarSpec = Union[str, Sequence[str], CompositeVariable]

@@ -15,18 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import AssociationMatrix, association_matrix
-from .dataset import (
-    ContingencyTable,
-    Dataset,
-    JointDistribution,
-    _resolve_x,
-    joint_from_counts,
-    to_joint,
-)
+from .association import AssociationMatrix, JointLike, _as_joint, association_matrix
+from .dataset import Dataset, _resolve_x, joint_from_counts
 from .errors import DataError
-
-JointLike = JointDistribution | ContingencyTable
 
 
 @dataclass(frozen=True)
@@ -60,10 +51,6 @@ class ValidationResult:
     n_test: int
     skipped_unseen: int
     seed: int
-
-
-def _as_joint(j: JointLike) -> JointDistribution:
-    return to_joint(j) if isinstance(j, ContingencyTable) else j
 
 
 def proportional_predict(j: JointLike, x_value, rng: np.random.Generator) -> str:

@@ -12,21 +12,20 @@ in the same sense.
 
 Ties in the forward pass are broken by smaller single-variable domain
 size, then by smaller column index, which makes the whole procedure
-deterministic.  Candidate scoring within a step is independent and may
-be evaluated by a thread pool; results are merged by a fixed sort key so
-thread count never changes the outcome.
+deterministic.  Each candidate is scored from one count of (chosen
+cell, candidate value, response) over the records, without sorting.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .association import WeightVector, association_vector, make_weights, tau
-from .dataset import Dataset, contingency, to_joint
+from .dataset import (ContingencyTable, Dataset, _check_cap, _compact, _dense,
+                      contingency, to_joint)
 from .errors import DataError
 
 #: Default improvement threshold on exact (non-sampled) data.
@@ -102,67 +101,109 @@ def first_pick_tiebreak(ds: Dataset, candidates: Sequence[str]) -> str:
     return min(candidates, key=lambda nm: (ds.var(nm).size, ds.position(nm)))
 
 
-def select_basis(ds: Dataset, y: str,
-                 alpha: WeightVector | str | None = None,
-                 eps_gain: float = DEFAULT_EPS_GAIN,
-                 max_cells: int | None = None,
-                 threads: int = 1) -> SelectionTrace:
-    """Forward-backward search for a minimal variable set whose composite
-    carries the full set's association with the response.
+def _cell_counts(keys: np.ndarray, n_keys: int, y: np.ndarray | None = None,
+                 n_y: int = 1) -> np.ndarray:
+    """Record counts of the observed cells of a composite (rows, in sorted
+    key order, as :func:`composite` orders them) against the response
+    categories (columns; one column without a response).  ``keys`` lie in
+    ``range(n_keys)``; empty cells are dropped after counting."""
+    if not _dense(n_keys * n_y, keys.size):
+        keys, n_keys = _compact(keys, n_keys)
+    if y is not None:
+        keys = keys * n_y + y
+    counts = np.bincount(keys, minlength=n_keys * n_y).reshape(n_keys, n_y)
+    observed = counts.any(axis=1)
+    return counts if observed.all() else counts[observed]
 
-    ``eps_gain`` is the smallest improvement (forward) or largest
-    tolerated change (backward) treated as real; raise it on sampled
-    data where plug-in estimates carry noise.  ``max_cells`` caps the
-    observed composite domain (default: 10x the record count).
+
+def _forward_backward(ds: Dataset, candidates: list[str],
+                      score_counts: Callable[[np.ndarray], float],
+                      score_set: Callable[[list[str]], float],
+                      y: str | None, minimize: bool, start: float, eps: float,
+                      max_cells: int | None, metric: str) -> SelectionTrace:
+    """Greedy search of :func:`select_basis` and :func:`structural_basis`.
+
+    Forward: add the candidate with the largest score (smallest if
+    ``minimize``), ties to :func:`first_pick_tiebreak`, until the best one
+    improves on the current score (``start`` for no variables) by at most
+    ``eps``.  A candidate is scored by ``score_counts`` on the
+    :func:`_cell_counts` of the chosen composite's codes with it, against
+    ``y``.  Backward: in reverse pick order, drop each variable whose
+    removal moves ``score_set`` of the kept set by at most ``eps``.
     """
-    if eps_gain < 0:
-        raise DataError("eps_gain must be nonnegative")
-    ds.var(y)
-    explanatory = [nm for nm in ds.names if nm != y]
-    if not explanatory:
-        raise DataError("no explanatory variables")
-    if max_cells is None:
-        max_cells = 10 * ds.n_records
-    weights = _resolve_weights(ds, y, alpha)
-
-    def score_with(chosen: list[str], cand: str) -> float:
-        return tau_joint(ds, y, chosen + [cand], alpha=weights, max_cells=max_cells)
-
-    def score_all(chosen: list[str], cands: list[str]) -> dict[str, float]:
-        if threads > 1 and len(cands) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                vals = list(pool.map(lambda c: score_with(chosen, c), cands))
-            return dict(zip(cands, vals))
-        return {c: score_with(chosen, c) for c in cands}
-
+    y_codes, n_y = (ds.codes(y), ds.var(y).size) if y is not None else (None, 1)
     chosen: list[str] = []
+    codes, n_cells = 0, 1  # no variables: every record in cell 0
     steps: list[ForwardStep] = []
-    current = 0.0  # degree of the empty composite
-    remaining = list(explanatory)
+    current = start
+    remaining = list(candidates)
     while remaining:
-        scores = score_all(chosen, remaining)
-        best_val = max(scores.values())
+        scores = {}
+        for c in remaining:
+            size = ds.var(c).size
+            counts = _cell_counts(codes * size + ds.codes(c), n_cells * size,
+                                  y_codes, n_y)
+            _check_cap(counts.shape[0], max_cells, chosen + [c])
+            scores[c] = score_counts(counts)
+        best_val = min(scores.values()) if minimize else max(scores.values())
         tied = [c for c in remaining if scores[c] == best_val]
         pick = first_pick_tiebreak(ds, tied)
-        if chosen and best_val - current <= eps_gain:
+        gain = current - best_val if minimize else best_val - current
+        if chosen and gain <= eps:
             break
         chosen.append(pick)
         remaining.remove(pick)
         steps.append(ForwardStep(pick, best_val, scores))
         current = best_val
+        size = ds.var(pick).size
+        codes, n_cells = _compact(codes * size + ds.codes(pick), n_cells * size)
 
-    # Backward: drop anything whose removal barely moves the degree.
     kept = list(chosen)
     pruned: list[str] = []
     for v in reversed(chosen):
         if len(kept) <= 1:
             break
         trial = [nm for nm in kept if nm != v]
-        val = tau_joint(ds, y, trial, alpha=weights, max_cells=max_cells)
-        if abs(current - val) <= eps_gain:
+        val = score_set(trial)
+        if abs(current - val) <= eps:
             kept = trial
             pruned.append(v)
             current = val
 
     return SelectionTrace(tuple(steps), tuple(pruned), tuple(kept), current,
-                          metric="tau")
+                          metric=metric)
+
+
+def select_basis(ds: Dataset, y: str,
+                 alpha: WeightVector | str | None = None,
+                 eps_gain: float = DEFAULT_EPS_GAIN,
+                 max_cells: int | None = None) -> SelectionTrace:
+    """Forward-backward search for a minimal variable set whose composite
+    carries the full set's association with the response.
+
+    ``eps_gain`` is the smallest improvement (forward) or largest
+    tolerated change (backward) treated as real; raise it on sampled
+    data where plug-in estimates carry noise.  ``max_cells`` caps the
+    observed composite domain (default: no cap).  A forward step costs
+    one count over the records per candidate; each score equals
+    ``tau_joint`` of the candidate set exactly.
+    """
+    if eps_gain < 0:
+        raise DataError("eps_gain must be nonnegative")
+    yv = ds.var(y)
+    explanatory = [nm for nm in ds.names if nm != y]
+    if not explanatory:
+        raise DataError("no explanatory variables")
+    weights = _resolve_weights(ds, y, alpha)
+
+    def score_counts(counts):
+        # The degree does not depend on the cell labels.
+        joint = to_joint(ContingencyTable("", y, (), yv.domain, counts))
+        return tau(association_vector(joint), weights)
+
+    def score_set(xs):
+        return tau_joint(ds, y, xs, alpha=weights, max_cells=max_cells)
+
+    return _forward_backward(ds, explanatory, score_counts, score_set, y,
+                             minimize=False, start=0.0, eps=eps_gain,
+                             max_cells=max_cells, metric="tau")

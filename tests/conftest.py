@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from catassoc import Dataset, joint_from_counts
+from catassoc import (
+    DataError,
+    Dataset,
+    ForwardStep,
+    NumericDomainError,
+    SelectionTrace,
+    Variable,
+    first_pick_tiebreak,
+    joint_from_counts,
+)
 
 # ---------------------------------------------------------------------
 # random-object generators (seeded by the caller for reproducibility)
@@ -85,6 +95,85 @@ def random_dataset(rng, n_vars=3, m_range=(10, 60), k_range=(2, 5)):
             cols[f"V{j}"] = [str(v) for v in rng.integers(0, k, m)]
         if all(_nonconstant(c) for c in cols.values()):
             return Dataset.from_label_columns(cols)
+
+
+#: Domain size of the ``ID`` column of :func:`coded_datasets`: far more
+#: categories than records, so composites holding it are ranked by sorting.
+ID_DOMAIN = 5000
+
+
+@st.composite
+def coded_datasets(draw):
+    """Small datasets built from code columns: ``V0`` observes every
+    category of its domain; other columns may leave categories unobserved,
+    may be relabeled copies (so scores tie), and may include an ``ID``
+    column with a large domain.  Records arrive C- or F-ordered."""
+    m = draw(st.integers(1, 40))
+    n_vars = draw(st.integers(2, 6))
+    sizes, cols = [], []
+    for j in range(n_vars):
+        k = draw(st.integers(1, 5))
+        col = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+        if j == 0:
+            observed = sorted(set(col))
+            col, k = [observed.index(c) for c in col], len(observed)
+        elif draw(st.booleans()):  # relabeled copy of an earlier column
+            src = draw(st.integers(0, j - 1))
+            k = sizes[src]
+            perm = draw(st.permutations(range(k)))
+            col = [perm[c] for c in cols[src]]
+        sizes.append(k)
+        cols.append(col)
+    names = [f"V{j}" for j in range(n_vars)]
+    if draw(st.booleans()):
+        cols.append(draw(st.lists(st.integers(0, ID_DOMAIN - 1),
+                                  min_size=m, max_size=m)))
+        sizes.append(ID_DOMAIN)
+        names.append("ID")
+    records = np.array(cols, dtype=np.int64).T
+    records = (np.asfortranarray if draw(st.booleans()) else np.ascontiguousarray)(records)
+    variables = [Variable(nm, tuple(str(c) for c in range(k)))
+                 for nm, k in zip(names, sizes)]
+    return Dataset(variables, records)
+
+
+def reference_forward_backward(ds, candidates, score_set, minimize, start,
+                               eps, metric):
+    """Greedy forward-backward search that scores every candidate set from
+    scratch with ``score_set``: the slow path the search drivers must match."""
+    chosen, steps, current = [], [], start
+    remaining = list(candidates)
+    while remaining:
+        scores = {c: score_set(chosen + [c]) for c in remaining}
+        best = min(scores.values()) if minimize else max(scores.values())
+        pick = first_pick_tiebreak(ds, [c for c in remaining if scores[c] == best])
+        gain = current - best if minimize else best - current
+        if chosen and gain <= eps:
+            break
+        chosen.append(pick)
+        remaining.remove(pick)
+        steps.append(ForwardStep(pick, best, scores))
+        current = best
+    kept, pruned = list(chosen), []
+    for v in reversed(chosen):
+        if len(kept) <= 1:
+            break
+        trial = [nm for nm in kept if nm != v]
+        val = score_set(trial)
+        if abs(current - val) <= eps:
+            kept, current = trial, val
+            pruned.append(v)
+    return SelectionTrace(tuple(steps), tuple(pruned), tuple(kept), current,
+                          metric=metric)
+
+
+def outcome(run):
+    """The result of ``run()``, or the type and message of its data or
+    numeric-domain error."""
+    try:
+        return run()
+    except (DataError, NumericDomainError) as e:
+        return type(e).__name__, str(e)
 
 
 def align_by_labels(values, domain, wanted):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catassoc import (
     DataError,
@@ -12,7 +14,7 @@ from catassoc import (
     verify_basis,
 )
 
-from conftest import random_dataset
+from conftest import coded_datasets, outcome, random_dataset, reference_forward_backward
 
 
 def planted_dataset(order=None, seed=17):
@@ -149,6 +151,47 @@ class TestStructuralBasis:
             vals = [s.value for s in trace.forward_steps]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
             assert trace.metric == "ep"
+
+
+def reference_structural(ds, eps, max_cells):
+    """structural_basis with every candidate set scored by ep."""
+    if max_cells is None:
+        max_cells = 10 * ds.n_records
+    return reference_forward_backward(
+        ds, list(ds.names), lambda vs: ep(ds, vs, max_cells=max_cells).value,
+        minimize=True, start=1.0, eps=eps, metric="ep")
+
+
+class TestStructuralBasisAgainstEp:
+    """The forward pass scores candidates from the chosen composite's codes;
+    scoring each candidate set from scratch with ep is the reference.
+    Scores are compared with ==, so cell order must match np.unique's."""
+
+    @given(coded_datasets(), st.sampled_from([0.0, 1e-12, 1e-9, 0.01]),
+           st.one_of(st.none(), st.integers(1, 12)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, ds, eps, max_cells):
+        fast = outcome(lambda: structural_basis(ds, eps=eps, max_cells=max_cells))
+        assert fast == outcome(lambda: reference_structural(ds, eps, max_cells))
+
+    def test_matches_reference_at_scale(self):
+        rng = np.random.default_rng(18)
+        m = 20_000
+        b = rng.integers(0, 6, (m, 3))
+        cols = {"B0": b[:, 0], "B1": b[:, 1], "B2": b[:, 2],
+                "D0": b[:, 0] * 6 + b[:, 1], "D1": (b[:, 1] + b[:, 2]) % 4,
+                "ID": rng.integers(0, 3000, m), "N": rng.integers(0, 2, m)}
+        ds = Dataset.from_label_columns({k: [str(v) for v in c] for k, c in cols.items()})
+        for eps in (0.0, 1e-4):
+            assert structural_basis(ds, eps=eps) == reference_structural(ds, eps, None)
+
+    def test_cap_hit_in_forward_pass(self):
+        ds = Dataset.from_label_columns({
+            "A": ["0", "1", "0", "1"],
+            "B": ["0", "0", "1", "1"],
+        })
+        with pytest.raises(DataError, match="composite domain cap exceeded: 4"):
+            structural_basis(ds, max_cells=3)
 
 
 class TestVerifyBasis:

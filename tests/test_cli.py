@@ -146,6 +146,19 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "0xff at offset 8" in err
 
+    @pytest.mark.parametrize("content, code, named", [
+        (b"1,x\n", EXIT_DATA, "weights file {}: could not convert string to float: 'x'"),
+        (b"1,\xff\n", EXIT_DATA, "weights file {}: input is not valid UTF-8: byte 0xff"),
+        (b"0.5,nan,0.5\n", EXIT_DOMAIN, "custom weights must be finite"),
+    ])
+    def test_bad_weights_file_exit_code(self, tmp_path, capsys, content, code, named):
+        wf = tmp_path / "w.csv"
+        wf.write_bytes(content)
+        assert main(["tau", "-i", "loan", "--x", "Age", "--y", "Risk",
+                     "--weights-file", str(wf)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + named.format(wf))
+
     def test_oversized_field_exit_code(self, tmp_path, capsys):
         p = tmp_path / "wide.csv"
         p.write_text("A,Y\n" + "a" * 200_000 + ",0\nb,1\n", encoding="utf-8")

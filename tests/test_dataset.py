@@ -12,6 +12,7 @@ from catassoc import (
     DataError,
     Dataset,
     NumericDomainError,
+    Variable,
     composite,
     contingency,
     ingest_records,
@@ -20,7 +21,7 @@ from catassoc import (
 )
 from catassoc.fixtures import loan_dataset
 
-from conftest import random_dataset
+from conftest import coded_datasets, random_dataset
 
 
 class TestIngest:
@@ -272,3 +273,27 @@ class TestComposite:
         ds = loan_dataset()
         with pytest.raises(DataError):
             composite(ds, ["Age", "Nope"])
+
+
+class TestCompositeAgainstUnique:
+    """composite ranks folded integer keys by counting; np.unique over the
+    stacked code rows is the reference for domain order and codes."""
+
+    @given(coded_datasets(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unique_rows(self, ds, rnd):
+        names = rnd.sample(list(ds.names), rnd.randint(1, len(ds.names)))
+        comp = composite(ds, names)
+        cols = np.stack([ds.codes(nm) for nm in names], axis=1)
+        rows, inverse = np.unique(cols, axis=0, return_inverse=True)
+        domain = tuple(tuple(ds.var(nm).domain[c] for nm, c in zip(names, row))
+                       for row in rows.tolist())
+        assert comp.domain == domain
+        assert comp.codes.tolist() == inverse.ravel().tolist()
+
+    def test_records_are_column_major(self):
+        records = np.ascontiguousarray(np.arange(12).reshape(6, 2) % 3)
+        ds = Dataset([Variable("A", ("0", "1", "2")), Variable("B", ("0", "1", "2"))],
+                     records)
+        assert ds.codes("A").flags.c_contiguous
+        assert ds.records.tolist() == records.tolist()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catassoc import (
     DataError,
@@ -15,7 +17,7 @@ from catassoc import (
     to_joint,
 )
 
-from conftest import random_dataset
+from conftest import coded_datasets, outcome, random_dataset, reference_forward_backward
 
 
 def dataset_with_cond_independence(rng, m=400):
@@ -173,13 +175,6 @@ class TestSelectBasis:
         t2 = select_basis(ds, "V0", eps_gain=1e-9)
         assert t1 == t2
 
-    def test_threads_do_not_change_result(self):
-        rng = np.random.default_rng(12)
-        ds = random_dataset(rng, n_vars=5, m_range=(50, 60))
-        a = select_basis(ds, "V0", threads=1)
-        b = select_basis(ds, "V0", threads=4)
-        assert a.basis == b.basis and a.final == b.final
-
     def test_tb_conditions_up_to_eps(self):
         # TB1: basis reproduces the full set's degree; TB2: every member matters
         rng = np.random.default_rng(13)
@@ -201,3 +196,54 @@ class TestSelectBasis:
         ds = Dataset.from_label_columns({"Y": ["0", "1", "0"]})
         with pytest.raises(DataError):
             select_basis(ds, "Y")
+
+
+def reference_select(ds, y, alpha, eps_gain, max_cells):
+    """select_basis with every candidate set scored by tau_joint."""
+    if max_cells is None:
+        max_cells = 10 * ds.n_records
+
+    def score(xs):
+        return tau_joint(ds, y, xs, alpha=alpha, max_cells=max_cells)
+
+    return reference_forward_backward(ds, [nm for nm in ds.names if nm != y],
+                                      score, minimize=False, start=0.0,
+                                      eps=eps_gain, metric="tau")
+
+
+class TestSelectBasisAgainstTauJoint:
+    """The forward pass scores candidates from the chosen composite's codes;
+    scoring each candidate set from scratch with tau_joint is the reference.
+    Scores are compared with ==, so cell order must match np.unique's."""
+
+    @given(coded_datasets(), st.sampled_from(["gk", "ew", "ipw"]),
+           st.sampled_from([0.0, 1e-9, 0.01]),
+           st.one_of(st.none(), st.integers(1, 12)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, ds, alpha, eps, max_cells):
+        fast = outcome(lambda: select_basis(ds, "V0", alpha=alpha, eps_gain=eps,
+                                            max_cells=max_cells))
+        assert fast == outcome(lambda: reference_select(ds, "V0", alpha, eps, max_cells))
+
+    def test_matches_reference_at_scale(self):
+        # 20,000 records, 9 columns: one of 3,000 categories, so the
+        # candidate tables outgrow the dense count and are ranked by sorting
+        rng = np.random.default_rng(14)
+        m = 20_000
+        x = rng.integers(0, 3, (m, 6))
+        y = (x[:, 0] + x[:, 1] * (rng.random(m) < 0.8)) % 3
+        cols = {"Y": y, "ID": rng.integers(0, 3000, m),
+                "C": x[:, 0] * 2 + x[:, 1] % 2}
+        cols.update({f"X{j}": x[:, j] for j in range(6)})
+        ds = Dataset.from_label_columns({k: [str(v) for v in c] for k, c in cols.items()})
+        for eps in (0.0, 0.01):
+            trace = select_basis(ds, "Y", eps_gain=eps)
+            assert trace == reference_select(ds, "Y", None, eps, None)
+
+    def test_cap_hit_in_forward_pass(self):
+        ds = Dataset.from_label_columns({
+            "A": ["0", "1", "2", "3"] * 3,
+            "Y": ["0", "1"] * 6,
+        })
+        with pytest.raises(DataError, match="composite domain cap exceeded: 4"):
+            select_basis(ds, "Y", max_cells=3)
