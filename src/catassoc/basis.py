@@ -25,9 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from .association import gk_tau_direct
-from .dataset import CompositeVariable, Dataset, composite, joint_from_counts
+from .dataset import (CompositeVariable, Dataset, _cell_counts, _fold, composite,
+                      joint_from_counts)
 from .errors import DataError
-from .selection import SelectionTrace, _cell_counts, _forward_backward
+from .selection import SelectionTrace, _forward_backward
 
 #: Default tolerance for Ep comparisons on exact data.
 DEFAULT_EPS = 1e-12
@@ -61,21 +62,28 @@ class BasisReport:
                 and self.conditionals_01 and self.minimal)
 
 
-def ep(ds: Dataset, vars: Sequence[str],
-       max_cells: int | None = None) -> EpValue:
+def _ep_from_counts(counts: np.ndarray, n_records: int) -> float:
+    """Ep from the one-column count table of a composite's observed cells."""
+    p = counts[:, 0] / n_records
+    return float(p @ p)
+
+
+def ep(ds: Dataset, vars: Sequence[str]) -> EpValue:
     """Sum of squared plug-in probabilities over the observed cells of a
-    composite."""
+    composite.
+
+    Counted from the folded codes of ``vars``, as
+    :func:`structural_basis` scores candidates, so both give equal values
+    for one variable set.
+    """
     vars = [vars] if isinstance(vars, str) else list(vars)
     if not vars:
         raise DataError("ep needs at least one variable")
-    comp = composite(ds, vars, max_cells=max_cells)
-    counts = np.bincount(comp.codes, minlength=comp.size)
-    p = counts / ds.n_records
-    return EpValue(float(p @ p), tuple(vars))
+    return EpValue(_ep_from_counts(_cell_counts(*_fold(ds, vars)), ds.n_records),
+                   tuple(vars))
 
 
-def structural_basis(ds: Dataset, eps: float = DEFAULT_EPS,
-                     max_cells: int | None = None) -> SelectionTrace:
+def structural_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> SelectionTrace:
     """Forward-backward search for a minimal determining variable set.
 
     Forward: add the variable minimizing the composite's Ep (ties broken
@@ -83,26 +91,18 @@ def structural_basis(ds: Dataset, eps: float = DEFAULT_EPS,
     smaller column index); stop when no candidate decreases Ep by more
     than ``eps``.  Backward: in reverse pick order, drop variables whose
     removal leaves Ep within ``eps``.  A forward step costs one count over
-    the records per candidate; each score equals ``ep`` of the candidate
-    set exactly.
+    the records per candidate; every score, forward and backward, is
+    counted as :func:`ep` counts it and equals ``ep`` of that set.
     """
     if eps < 0:
         raise DataError("eps must be nonnegative")
     names = list(ds.names)
     if not names:
         raise DataError("dataset has no variables")
-
-    def score_counts(counts):
-        p = counts[:, 0] / ds.n_records
-        return float(p @ p)
-
-    def score_set(vars):
-        return ep(ds, vars, max_cells=max_cells).value
-
     # Ep of no variables is 1: all mass in one cell.
-    return _forward_backward(ds, names, score_counts, score_set, None,
-                             minimize=True, start=1.0, eps=eps,
-                             max_cells=max_cells, metric="ep")
+    return _forward_backward(
+        ds, names, lambda counts: _ep_from_counts(counts, ds.n_records), None,
+        minimize=True, start=1.0, eps=eps, metric="ep")
 
 
 def _determines(comp: CompositeVariable, y: np.ndarray, n_y: int, eps: float) -> bool:
@@ -123,8 +123,7 @@ def _conditionals_01(ds: Dataset, comp: CompositeVariable, name: str, eps: float
 
 
 def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
-                 subset_samples: int = 32, seed: int = 0,
-                 max_cells: int | None = None) -> BasisReport:
+                 subset_samples: int = 32, seed: int = 0) -> BasisReport:
     """Check the defining properties of a structural basis.
 
     (a) every variable is completely determined by the basis composite;
@@ -139,7 +138,7 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
     for nm in basis:
         ds.var(nm)
     names = list(ds.names)
-    comp_b = composite(ds, basis, max_cells=max_cells)
+    comp_b = composite(ds, basis)
 
     determined = {nm: _determines(comp_b, ds.codes(nm), ds.var(nm).size, eps)
                   for nm in names}
@@ -152,7 +151,7 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
         k = int(rng.integers(1, len(names) + 1))
         pick = sorted(rng.choice(len(names), size=k, replace=False).tolist())
         sub = [names[i] for i in pick]
-        comp_s = composite(ds, sub, max_cells=max_cells)
+        comp_s = composite(ds, sub)
         if not _determines(comp_b, comp_s.codes, comp_s.size, eps):
             subsets_ok = False
             break
@@ -166,7 +165,7 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
     else:
         minimal = True
         for v in basis:
-            reduced = composite(ds, [nm for nm in basis if nm != v], max_cells)
+            reduced = composite(ds, [nm for nm in basis if nm != v])
             if all(_determines(reduced, ds.codes(nm), ds.var(nm).size, eps)
                    for nm in names):
                 minimal = False
@@ -175,8 +174,7 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
     return BasisReport(tuple(basis), determined, subsets_ok, conditionals_01, minimal)
 
 
-def minimal_basis(ds: Dataset, eps: float = DEFAULT_EPS,
-                  max_cells: int | None = None) -> tuple[str, ...]:
+def minimal_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> tuple[str, ...]:
     """Exhaustive search for a smallest determining subset.
 
     Exponential in the variable count; refused above 20 variables.  The
@@ -186,9 +184,9 @@ def minimal_basis(ds: Dataset, eps: float = DEFAULT_EPS,
     names = list(ds.names)
     if len(names) > 20:
         raise DataError("exhaustive basis search is limited to 20 variables")
-    full = ep(ds, names, max_cells=max_cells).value
+    full = ep(ds, names).value
     for k in range(1, len(names) + 1):
         for sub in itertools.combinations(names, k):
-            if abs(ep(ds, list(sub), max_cells=max_cells).value - full) <= eps:
+            if abs(ep(ds, list(sub)).value - full) <= eps:
                 return tuple(sub)
     return tuple(names)

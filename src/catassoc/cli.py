@@ -21,7 +21,7 @@ import csv as _csv
 import io
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -91,12 +91,11 @@ def _nonnegative_int(raw: str) -> int:
     return value
 
 
-def _split_vars(raw: str | None) -> list[str] | None:
-    if raw is None:
-        return None
+def _split_vars(raw: str) -> list[str]:
+    """Argument type for comma-separated variable lists."""
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
-        raise DataError("empty variable list")
+        raise argparse.ArgumentTypeError(f"empty variable list: {raw!r}")
     return parts
 
 
@@ -339,6 +338,10 @@ def run(cfg: RunConfig) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError:
+        print(f"error: {cfg.command}: not enough memory for this input",
+              file=sys.stderr)
+        return EXIT_DATA
     _emit(cfg, text)
     return EXIT_OK
 
@@ -363,17 +366,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("matrix", help="association matrix of Y given X")
     common(sp)
-    sp.add_argument("--x", required=True, help="explanatory variable(s), comma-separated")
+    sp.add_argument("--x", required=True, type=_split_vars,
+                    help="explanatory variable(s), comma-separated")
     sp.add_argument("--y", required=True)
 
     sp = sub.add_parser("vector", help="association vector of Y given X")
     common(sp)
-    sp.add_argument("--x", required=True)
+    sp.add_argument("--x", required=True, type=_split_vars)
     sp.add_argument("--y", required=True)
 
     sp = sub.add_parser("tau", help="weighted association degree of Y given X")
     common(sp)
-    sp.add_argument("--x", required=True)
+    sp.add_argument("--x", required=True, type=_split_vars)
     sp.add_argument("--y", required=True)
     sp.add_argument("--weights", choices=["gk", "ew", "ipw"], default="gk")
     sp.add_argument("--weights-file", default=None, dest="weights_file",
@@ -401,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="train/test proportional-prediction check")
     common(sp)
-    sp.add_argument("--x", required=True)
+    sp.add_argument("--x", required=True, type=_split_vars)
     sp.add_argument("--y", required=True)
     sp.add_argument("--train", type=float, default=0.8, dest="train_frac")
     sp.add_argument("--seed", type=_nonnegative_int, required=True)
@@ -410,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--stat", choices=["retention", "tau"], required=True)
     sp.add_argument("--response", required=True, dest="y")
-    sp.add_argument("--subset", default=None,
+    sp.add_argument("--subset", default=None, type=_split_vars,
                     help="comma-separated variables for the statistic")
     sp.add_argument("--B", type=int, default=1000)
     sp.add_argument("--n", type=_nonnegative_int, default=None,
@@ -439,31 +443,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     d = vars(ns)
-    cfg = RunConfig(
-        command=d["command"],
-        input=d.get("input"),
-        x=_split_vars(d.get("x")) if d.get("x") else None,
-        y=d.get("y"),
-        x2=d.get("x2"),
-        weights=d.get("weights", "gk"),
-        weights_file=d.get("weights_file"),
-        tol=d.get("tol", 1e-9),
-        eps=d.get("eps", 1e-9),
-        seed=d.get("seed"),
-        train_frac=d.get("train_frac"),
-        B=d.get("B"),
-        n=d.get("n"),
-        stat=d.get("stat"),
-        subset=_split_vars(d.get("subset")) if d.get("subset") else None,
-        level=d.get("level"),
-        name=d.get("name"),
-        minimal=d.get("minimal", False),
-        format=d.get("format", "text"),
-        out=d.get("out"),
-        missing=d.get("missing", "drop_row"),
-    )
-    if cfg.command == "equiv":
-        cfg.x = [d["x1"]]
+    if ns.command == "equiv":
+        d["x"] = [d["x1"]]
+    cfg = RunConfig(**{f.name: d[f.name] for f in fields(RunConfig) if f.name in d})
     return run(cfg)
 
 

@@ -418,69 +418,79 @@ def _compact(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
     return codes, observed.size
 
 
-def _check_cap(n_cells: int, max_cells: int | None, names: Sequence[str]) -> None:
-    if max_cells is not None and n_cells > max_cells:
-        raise DataError(
-            f"composite domain cap exceeded: {n_cells} observed cells "
-            f"> {max_cells} for parts {list(names)}"
-        )
-
-
-def composite(ds: Dataset, names: Sequence[str],
-              max_cells: int | None = None) -> CompositeVariable:
-    """Observed-tuple composite of several variables.
-
-    The domain holds only tuples that occur in the data, sorted by part
-    codes; its size is bounded by both the record count and the product
-    of part domain sizes.  ``max_cells`` caps the observed domain size;
-    plug-in estimates over a composite whose cells are mostly singletons
-    carry no information, so selection runs bound it.
-
-    The parts are folded into one integer key, re-ranked by
+def _fold(ds: Dataset, names: Sequence[str]) -> tuple[np.ndarray, int]:
+    """Mixed-radix key of each record's codes over ``names``, and the key
+    range.  Keys sort as the code tuples do.  The key is re-ranked by
     :func:`_compact` only when the next part would make its range too
-    large to count; the cost is a few passes over the records per part.
-    """
+    large to count; the cost is a few passes over the records per part."""
     names = list(names)
     if not names:
         raise DataError("composite needs at least one variable")
     if len(set(names)) != len(names):
         raise DataError("composite parts must be distinct")
-    variables = [ds.var(nm) for nm in names]
-    keys, n_keys = ds.codes(names[0]), variables[0].size
-    for nm, v in zip(names[1:], variables[1:]):
-        if not _dense(n_keys * v.size, ds.n_records):
+    sizes = [ds.var(nm).size for nm in names]
+    keys, n_keys = ds.codes(names[0]), sizes[0]
+    for nm, size in zip(names[1:], sizes[1:]):
+        if not _dense(n_keys * size, ds.n_records):
             keys, n_keys = _compact(keys, n_keys)
-        keys = keys * v.size + ds.codes(nm)
-        n_keys *= v.size
-    codes, size = _compact(keys, n_keys)
-    _check_cap(size, max_cells, names)
+        keys = keys * size + ds.codes(nm)
+        n_keys *= size
+    return keys, n_keys
+
+
+def _cell_counts(keys: np.ndarray, n_keys: int, y: np.ndarray | None = None,
+                 n_y: int = 1) -> np.ndarray:
+    """Record counts of the observed cells of a composite (rows, in sorted
+    key order, as :func:`composite` orders them) against the response
+    categories (columns; one column without a response).  ``keys`` lie in
+    ``range(n_keys)``; empty cells are dropped after counting."""
+    if not _dense(n_keys * n_y, keys.size):
+        keys, n_keys = _compact(keys, n_keys)
+    if y is not None:
+        keys = keys * n_y + y
+    counts = np.bincount(keys, minlength=n_keys * n_y).reshape(n_keys, n_y)
+    observed = counts.any(axis=1)
+    return counts if observed.all() else counts[observed]
+
+
+def composite(ds: Dataset, names: Sequence[str]) -> CompositeVariable:
+    """Observed-tuple composite of several variables.
+
+    The domain holds only tuples that occur in the data, sorted by part
+    codes; its size is bounded by both the record count and the product
+    of part domain sizes.  The parts are folded into one integer key
+    (:func:`_fold`) and ranked (:func:`_compact`); labels are read from
+    one record per cell.  Scores that need only the counts of the cells
+    skip the labels and count the folded key directly
+    (:func:`_cell_counts`).
+    """
+    names = list(names)
+    codes, size = _compact(*_fold(ds, names))
     # One record of each cell gives the cell's labels.
     rows = np.empty(size, dtype=np.int64)
     rows[codes] = np.arange(codes.size)
-    labels = [list(map(v.domain.__getitem__, ds.codes(nm)[rows].tolist()))
-              for nm, v in zip(names, variables)]
+    labels = [list(map(ds.var(nm).domain.__getitem__, ds.codes(nm)[rows].tolist()))
+              for nm in names]
     return CompositeVariable(tuple(names), tuple(zip(*labels)), codes)
 
 
 VarSpec = Union[str, Sequence[str], CompositeVariable]
 
 
-def _resolve_x(ds: Dataset, x: VarSpec,
-               max_cells: int | None = None) -> tuple[str, tuple, np.ndarray, tuple[str, ...]]:
+def _resolve_x(ds: Dataset, x: VarSpec) -> tuple[str, tuple, np.ndarray, tuple[str, ...]]:
     """Normalize an x-spec to (name, domain, codes, part names)."""
     if isinstance(x, CompositeVariable):
         return x.name, x.domain, x.codes, x.parts
     if isinstance(x, str):
         v = ds.var(x)
         return v.name, v.domain, ds.codes(x), (x,)
-    comp = composite(ds, list(x), max_cells=max_cells)
+    comp = composite(ds, list(x))
     return comp.name, comp.domain, comp.codes, comp.parts
 
 
-def contingency(ds: Dataset, x: VarSpec, y: str,
-                max_cells: int | None = None) -> ContingencyTable:
+def contingency(ds: Dataset, x: VarSpec, y: str) -> ContingencyTable:
     """Cross-classify X (variable or composite) against a response Y."""
-    x_name, x_domain, x_codes, parts = _resolve_x(ds, x, max_cells)
+    x_name, x_domain, x_codes, parts = _resolve_x(ds, x)
     if y in parts:
         raise DataError(f"response {y!r} overlaps the explanatory parts")
     yv = ds.var(y)

@@ -74,7 +74,7 @@ def proportional_predict(j: JointLike, x_value, rng: np.random.Generator) -> str
 
 
 def _draw(cond: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws from one conditional distribution."""
+    """Inverse-CDF draws from one distribution, one per entry of ``u``."""
     cdf = np.cumsum(cond)
     cdf[-1] = 1.0
     return np.searchsorted(cdf, u, side="right")

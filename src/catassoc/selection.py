@@ -24,8 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .association import WeightVector, association_vector, make_weights, tau
-from .dataset import (ContingencyTable, Dataset, _check_cap, _compact, _dense,
-                      contingency, to_joint)
+from .dataset import ContingencyTable, Dataset, _cell_counts, _compact, _fold, to_joint
 from .errors import DataError
 
 #: Default improvement threshold on exact (non-sampled) data.
@@ -79,18 +78,30 @@ def _resolve_weights(ds: Dataset, y: str, alpha) -> WeightVector:
     return make_weights(scheme, p_y=y_marginal(ds, y))
 
 
+def _tau_from_counts(counts: np.ndarray, y_domain: tuple[str, ...],
+                     weights: WeightVector) -> float:
+    """Association degree from a (cell x response) count table; the
+    degree does not depend on the cell labels."""
+    joint = to_joint(ContingencyTable("", "", (), y_domain, counts))
+    return tau(association_vector(joint), weights)
+
+
 def tau_joint(ds: Dataset, y: str, xs: Sequence[str],
-              alpha: WeightVector | str | None = None,
-              max_cells: int | None = None) -> float:
-    """Association degree of the response given the composite of ``xs``."""
+              alpha: WeightVector | str | None = None) -> float:
+    """Association degree of the response given the composite of ``xs``.
+
+    Counted from the folded codes of ``xs`` against ``y``, as
+    :func:`select_basis` scores candidates, so both give equal values for
+    one variable set.
+    """
     xs = [xs] if isinstance(xs, str) else list(xs)
     if not xs:
         raise DataError("tau_joint needs at least one explanatory variable")
     if y in xs:
         raise DataError(f"response {y!r} appears among the explanatory variables")
     w = _resolve_weights(ds, y, alpha)
-    j = to_joint(contingency(ds, xs, y, max_cells=max_cells))
-    return tau(association_vector(j), w)
+    counts = _cell_counts(*_fold(ds, xs), ds.codes(y), ds.var(y).size)
+    return _tau_from_counts(counts, ds.var(y).domain, w)
 
 
 def first_pick_tiebreak(ds: Dataset, candidates: Sequence[str]) -> str:
@@ -101,35 +112,20 @@ def first_pick_tiebreak(ds: Dataset, candidates: Sequence[str]) -> str:
     return min(candidates, key=lambda nm: (ds.var(nm).size, ds.position(nm)))
 
 
-def _cell_counts(keys: np.ndarray, n_keys: int, y: np.ndarray | None = None,
-                 n_y: int = 1) -> np.ndarray:
-    """Record counts of the observed cells of a composite (rows, in sorted
-    key order, as :func:`composite` orders them) against the response
-    categories (columns; one column without a response).  ``keys`` lie in
-    ``range(n_keys)``; empty cells are dropped after counting."""
-    if not _dense(n_keys * n_y, keys.size):
-        keys, n_keys = _compact(keys, n_keys)
-    if y is not None:
-        keys = keys * n_y + y
-    counts = np.bincount(keys, minlength=n_keys * n_y).reshape(n_keys, n_y)
-    observed = counts.any(axis=1)
-    return counts if observed.all() else counts[observed]
-
-
 def _forward_backward(ds: Dataset, candidates: list[str],
                       score_counts: Callable[[np.ndarray], float],
-                      score_set: Callable[[list[str]], float],
                       y: str | None, minimize: bool, start: float, eps: float,
-                      max_cells: int | None, metric: str) -> SelectionTrace:
+                      metric: str) -> SelectionTrace:
     """Greedy search of :func:`select_basis` and :func:`structural_basis`.
 
-    Forward: add the candidate with the largest score (smallest if
-    ``minimize``), ties to :func:`first_pick_tiebreak`, until the best one
-    improves on the current score (``start`` for no variables) by at most
-    ``eps``.  A candidate is scored by ``score_counts`` on the
-    :func:`_cell_counts` of the chosen composite's codes with it, against
-    ``y``.  Backward: in reverse pick order, drop each variable whose
-    removal moves ``score_set`` of the kept set by at most ``eps``.
+    Every variable set is scored by ``score_counts`` on the
+    :func:`_cell_counts` of its composite against ``y``.  Forward: add the
+    candidate with the largest score (smallest if ``minimize``), ties to
+    :func:`first_pick_tiebreak`, until the best one improves on the
+    current score (``start`` for no variables) by at most ``eps``; a
+    candidate is counted from the chosen composite's codes with it.
+    Backward: in reverse pick order, drop each variable whose removal
+    moves the score of the kept set by at most ``eps``.
     """
     y_codes, n_y = (ds.codes(y), ds.var(y).size) if y is not None else (None, 1)
     chosen: list[str] = []
@@ -141,10 +137,8 @@ def _forward_backward(ds: Dataset, candidates: list[str],
         scores = {}
         for c in remaining:
             size = ds.var(c).size
-            counts = _cell_counts(codes * size + ds.codes(c), n_cells * size,
-                                  y_codes, n_y)
-            _check_cap(counts.shape[0], max_cells, chosen + [c])
-            scores[c] = score_counts(counts)
+            scores[c] = score_counts(_cell_counts(codes * size + ds.codes(c),
+                                                  n_cells * size, y_codes, n_y))
         best_val = min(scores.values()) if minimize else max(scores.values())
         tied = [c for c in remaining if scores[c] == best_val]
         pick = first_pick_tiebreak(ds, tied)
@@ -164,7 +158,7 @@ def _forward_backward(ds: Dataset, candidates: list[str],
         if len(kept) <= 1:
             break
         trial = [nm for nm in kept if nm != v]
-        val = score_set(trial)
+        val = score_counts(_cell_counts(*_fold(ds, trial), y_codes, n_y))
         if abs(current - val) <= eps:
             kept = trial
             pruned.append(v)
@@ -176,34 +170,26 @@ def _forward_backward(ds: Dataset, candidates: list[str],
 
 def select_basis(ds: Dataset, y: str,
                  alpha: WeightVector | str | None = None,
-                 eps_gain: float = DEFAULT_EPS_GAIN,
-                 max_cells: int | None = None) -> SelectionTrace:
+                 eps_gain: float = DEFAULT_EPS_GAIN) -> SelectionTrace:
     """Forward-backward search for a minimal variable set whose composite
     carries the full set's association with the response.
 
     ``eps_gain`` is the smallest improvement (forward) or largest
     tolerated change (backward) treated as real; raise it on sampled
-    data where plug-in estimates carry noise.  ``max_cells`` caps the
-    observed composite domain (default: no cap).  A forward step costs
-    one count over the records per candidate; each score equals
-    ``tau_joint`` of the candidate set exactly.
+    data where plug-in estimates carry noise.  Nothing bounds the
+    composite's observed domain, and the plug-in degree over mostly
+    singleton cells is inflated, so a near-unique column can be picked.
+    A forward step costs one count over the records per candidate; every
+    score, forward and backward, is counted as :func:`tau_joint` counts it
+    and equals ``tau_joint`` of that set.
     """
     if eps_gain < 0:
         raise DataError("eps_gain must be nonnegative")
-    yv = ds.var(y)
+    y_domain = ds.var(y).domain
     explanatory = [nm for nm in ds.names if nm != y]
     if not explanatory:
         raise DataError("no explanatory variables")
     weights = _resolve_weights(ds, y, alpha)
-
-    def score_counts(counts):
-        # The degree does not depend on the cell labels.
-        joint = to_joint(ContingencyTable("", y, (), yv.domain, counts))
-        return tau(association_vector(joint), weights)
-
-    def score_set(xs):
-        return tau_joint(ds, y, xs, alpha=weights, max_cells=max_cells)
-
-    return _forward_backward(ds, explanatory, score_counts, score_set, y,
-                             minimize=False, start=0.0, eps=eps_gain,
-                             max_cells=max_cells, metric="tau")
+    return _forward_backward(
+        ds, explanatory, lambda counts: _tau_from_counts(counts, y_domain, weights),
+        y, minimize=False, start=0.0, eps=eps_gain, metric="tau")

@@ -33,6 +33,7 @@ from .dataset import (
     to_joint,
 )
 from .errors import DataError
+from .predict import _draw, _draw_rows
 
 _CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -91,26 +92,16 @@ def gen_flu(n: int, seed: int, spec: FluSpec = DEFAULT_FLU) -> Dataset:
     if n < 1:
         raise DataError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    cell = _draw_categorical(np.asarray(spec.p_x1x2), rng.random(n))
+    cell = _draw(np.asarray(spec.p_x1x2), rng.random(n))
     x1 = np.asarray([c[0] for c in _CELLS])[cell]
     x2 = np.asarray([c[1] for c in _CELLS])[cell]
-    cond = np.asarray(spec.cond_y)
-    cdf = np.cumsum(cond, axis=1)
-    cdf[:, -1] = 1.0
-    # >= keeps u = 0.0 from landing behind a flat zero-probability prefix
-    y = (rng.random(n)[:, None] >= cdf[cell]).sum(axis=1)
+    y = _draw_rows(np.asarray(spec.cond_y), cell, rng)
     r3 = np.where(x1 == 1, (rng.random(n) < spec.carry_prob).astype(int), 0)
     r4 = np.where(x2 == 1, (rng.random(n) < spec.carry_prob).astype(int), 0)
     z = (rng.random(n) < spec.z_prob).astype(int)
     s5 = x1 * x2 * z
     records = np.stack([y, x1, x2, r3, r4, s5], axis=1)
     return Dataset(_flu_variables(), records)
-
-
-def _draw_categorical(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, u, side="right")
 
 
 def population_joint_flu(spec: FluSpec = DEFAULT_FLU) -> WeightedPopulation:
@@ -163,7 +154,7 @@ def sample_joint(j: JointDistribution | ContingencyTable, n: int, seed: int,
         j = to_joint(j)
     rng = np.random.default_rng(seed)
     flat = j.p_xy.ravel()
-    idx = _draw_categorical(flat, rng.random(n))
+    idx = _draw(flat, rng.random(n))
     xi, yi = np.unravel_index(idx, j.p_xy.shape)
     x_labels = tuple(
         "|".join(map(str, d)) if isinstance(d, tuple) else str(d)

@@ -5,14 +5,19 @@ import pytest
 from hypothesis import strategies as st
 
 from catassoc import (
+    ContingencyTable,
     DataError,
     Dataset,
     ForwardStep,
     NumericDomainError,
     SelectionTrace,
     Variable,
+    association_vector,
     first_pick_tiebreak,
     joint_from_counts,
+    make_weights,
+    tau,
+    to_joint,
 )
 
 # ---------------------------------------------------------------------
@@ -135,6 +140,40 @@ def coded_datasets(draw):
     variables = [Variable(nm, tuple(str(c) for c in range(k)))
                  for nm, k in zip(names, sizes)]
     return Dataset(variables, records)
+
+
+# Slow scorers: they share no encoding or counting code with the library,
+# only the kernels that turn a count table into a score.
+
+def slow_cells(ds, xs):
+    """Each record's cell among the observed code rows of ``xs``, in sorted
+    row order."""
+    cols = np.stack([ds.codes(nm) for nm in xs], 1)
+    _, inverse = np.unique(cols, axis=0, return_inverse=True)
+    return inverse.ravel()
+
+
+def slow_weights(ds, y, scheme):
+    """Weights of a named scheme from the response's plug-in marginal."""
+    counts = np.bincount(ds.codes(y), minlength=ds.var(y).size)
+    return make_weights(scheme, p_y=counts / ds.n_records)
+
+
+def slow_tau(ds, y, xs, weights):
+    """Association degree of ``y`` given the composite of ``xs``."""
+    cells, n_y = slow_cells(ds, xs), ds.var(y).size
+    n_x = int(cells.max()) + 1
+    counts = np.bincount(cells * n_y + ds.codes(y),
+                         minlength=n_x * n_y).reshape(n_x, n_y)
+    joint = to_joint(ContingencyTable("X", y, tuple(range(n_x)),
+                                      ds.var(y).domain, counts))
+    return tau(association_vector(joint), weights)
+
+
+def slow_ep(ds, xs):
+    """Sum of squared plug-in probabilities of the composite of ``xs``."""
+    p = np.bincount(slow_cells(ds, xs)) / ds.n_records
+    return float(p @ p)
 
 
 def reference_forward_backward(ds, candidates, score_set, minimize, start,

@@ -14,7 +14,7 @@ from catassoc import (
     verify_basis,
 )
 
-from conftest import coded_datasets, outcome, random_dataset, reference_forward_backward
+from conftest import coded_datasets, outcome, random_dataset, reference_forward_backward, slow_ep
 
 
 def planted_dataset(order=None, seed=17):
@@ -153,26 +153,30 @@ class TestStructuralBasis:
             assert trace.metric == "ep"
 
 
-def reference_structural(ds, eps, max_cells):
-    """structural_basis with every candidate set scored by ep."""
-    if max_cells is None:
-        max_cells = 10 * ds.n_records
+def reference_structural(ds, eps):
+    """structural_basis with every candidate set scored by the slow scorer."""
     return reference_forward_backward(
-        ds, list(ds.names), lambda vs: ep(ds, vs, max_cells=max_cells).value,
+        ds, list(ds.names), lambda vs: slow_ep(ds, vs),
         minimize=True, start=1.0, eps=eps, metric="ep")
 
 
 class TestStructuralBasisAgainstEp:
-    """The forward pass scores candidates from the chosen composite's codes;
-    scoring each candidate set from scratch with ep is the reference.
-    Scores are compared with ==, so cell order must match np.unique's."""
+    """Both passes and ep count folded codes; scoring each candidate set
+    from scratch with np.unique over the stacked code rows is the
+    reference.  Scores are compared with ==, so cell order must match
+    np.unique's."""
 
-    @given(coded_datasets(), st.sampled_from([0.0, 1e-12, 1e-9, 0.01]),
-           st.one_of(st.none(), st.integers(1, 12)))
+    @given(coded_datasets(), st.randoms(use_true_random=False))
     @settings(max_examples=300, deadline=None)
-    def test_matches_reference(self, ds, eps, max_cells):
-        fast = outcome(lambda: structural_basis(ds, eps=eps, max_cells=max_cells))
-        assert fast == outcome(lambda: reference_structural(ds, eps, max_cells))
+    def test_ep_matches_slow_scorer(self, ds, rnd):
+        names = rnd.sample(list(ds.names), rnd.randint(1, len(ds.names)))
+        assert ep(ds, names).value == slow_ep(ds, names)
+
+    @given(coded_datasets(), st.sampled_from([0.0, 1e-12, 1e-9, 0.01]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, ds, eps):
+        fast = outcome(lambda: structural_basis(ds, eps=eps))
+        assert fast == outcome(lambda: reference_structural(ds, eps))
 
     def test_matches_reference_at_scale(self):
         rng = np.random.default_rng(18)
@@ -183,15 +187,7 @@ class TestStructuralBasisAgainstEp:
                 "ID": rng.integers(0, 3000, m), "N": rng.integers(0, 2, m)}
         ds = Dataset.from_label_columns({k: [str(v) for v in c] for k, c in cols.items()})
         for eps in (0.0, 1e-4):
-            assert structural_basis(ds, eps=eps) == reference_structural(ds, eps, None)
-
-    def test_cap_hit_in_forward_pass(self):
-        ds = Dataset.from_label_columns({
-            "A": ["0", "1", "0", "1"],
-            "B": ["0", "0", "1", "1"],
-        })
-        with pytest.raises(DataError, match="composite domain cap exceeded: 4"):
-            structural_basis(ds, max_cells=3)
+            assert structural_basis(ds, eps=eps) == reference_structural(ds, eps)
 
 
 class TestVerifyBasis:

@@ -179,6 +179,27 @@ class TestInputContract:
         assert exc.value.code == 2
         assert "must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["tau", "-i", "loan", "--x", ",", "--y", "Risk"],
+        ["tau", "-i", "loan", "--x", "", "--y", "Risk"],
+        ["bootstrap", "-i", "loan", "--stat", "tau", "--response", "Risk",
+         "--subset", " , ", "--seed", "1"],
+        ["bootstrap", "-i", "loan", "--stat", "tau", "--response", "Risk",
+         "--subset", "", "--seed", "1"],
+    ])
+    def test_empty_variable_list_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "empty variable list" in capsys.readouterr().err
+
+    def test_out_of_memory_exit_code(self, monkeypatch, capsys):
+        def verify_basis(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr("catassoc.cli.verify_basis", verify_basis)
+        assert main(["basis", "-i", "loan"]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: basis: not enough memory")
+
 
 class TestReproducibility:
     def test_byte_identical_json_reruns(self, tmp_path):

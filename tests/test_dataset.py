@@ -264,11 +264,6 @@ class TestComposite:
             assert ab >= max(a, b)
             assert ab <= a * b
 
-    def test_cap(self):
-        ds = loan_dataset()
-        with pytest.raises(DataError):
-            composite(ds, ["Age", "Income", "Credit"], max_cells=8)
-
     def test_unknown_variable(self):
         ds = loan_dataset()
         with pytest.raises(DataError):

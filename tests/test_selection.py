@@ -17,7 +17,8 @@ from catassoc import (
     to_joint,
 )
 
-from conftest import coded_datasets, outcome, random_dataset, reference_forward_backward
+from conftest import (coded_datasets, outcome, random_dataset, reference_forward_backward,
+                      slow_tau, slow_weights)
 
 
 def dataset_with_cond_independence(rng, m=400):
@@ -198,32 +199,36 @@ class TestSelectBasis:
             select_basis(ds, "Y")
 
 
-def reference_select(ds, y, alpha, eps_gain, max_cells):
-    """select_basis with every candidate set scored by tau_joint."""
-    if max_cells is None:
-        max_cells = 10 * ds.n_records
-
-    def score(xs):
-        return tau_joint(ds, y, xs, alpha=alpha, max_cells=max_cells)
-
+def reference_select(ds, y, alpha, eps_gain):
+    """select_basis with every candidate set scored by the slow scorer."""
+    weights = slow_weights(ds, y, alpha or "gk")
     return reference_forward_backward(ds, [nm for nm in ds.names if nm != y],
-                                      score, minimize=False, start=0.0,
+                                      lambda xs: slow_tau(ds, y, xs, weights),
+                                      minimize=False, start=0.0,
                                       eps=eps_gain, metric="tau")
 
 
 class TestSelectBasisAgainstTauJoint:
-    """The forward pass scores candidates from the chosen composite's codes;
-    scoring each candidate set from scratch with tau_joint is the reference.
-    Scores are compared with ==, so cell order must match np.unique's."""
+    """Both passes and tau_joint count folded codes; scoring each candidate
+    set from scratch with np.unique over the stacked code rows is the
+    reference.  Scores are compared with ==, so cell order must match
+    np.unique's."""
+
+    @given(coded_datasets(), st.sampled_from(["gk", "ew", "ipw"]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_tau_joint_matches_slow_scorer(self, ds, alpha, data):
+        xs = data.draw(st.lists(st.sampled_from(ds.names[1:]), min_size=1,
+                                unique=True))
+        fast = outcome(lambda: tau_joint(ds, "V0", xs, alpha=alpha))
+        assert fast == outcome(lambda: slow_tau(ds, "V0", xs,
+                                                slow_weights(ds, "V0", alpha)))
 
     @given(coded_datasets(), st.sampled_from(["gk", "ew", "ipw"]),
-           st.sampled_from([0.0, 1e-9, 0.01]),
-           st.one_of(st.none(), st.integers(1, 12)))
+           st.sampled_from([0.0, 1e-9, 0.01]))
     @settings(max_examples=300, deadline=None)
-    def test_matches_reference(self, ds, alpha, eps, max_cells):
-        fast = outcome(lambda: select_basis(ds, "V0", alpha=alpha, eps_gain=eps,
-                                            max_cells=max_cells))
-        assert fast == outcome(lambda: reference_select(ds, "V0", alpha, eps, max_cells))
+    def test_matches_reference(self, ds, alpha, eps):
+        fast = outcome(lambda: select_basis(ds, "V0", alpha=alpha, eps_gain=eps))
+        assert fast == outcome(lambda: reference_select(ds, "V0", alpha, eps))
 
     def test_matches_reference_at_scale(self):
         # 20,000 records, 9 columns: one of 3,000 categories, so the
@@ -238,12 +243,4 @@ class TestSelectBasisAgainstTauJoint:
         ds = Dataset.from_label_columns({k: [str(v) for v in c] for k, c in cols.items()})
         for eps in (0.0, 0.01):
             trace = select_basis(ds, "Y", eps_gain=eps)
-            assert trace == reference_select(ds, "Y", None, eps, None)
-
-    def test_cap_hit_in_forward_pass(self):
-        ds = Dataset.from_label_columns({
-            "A": ["0", "1", "2", "3"] * 3,
-            "Y": ["0", "1"] * 6,
-        })
-        with pytest.raises(DataError, match="composite domain cap exceeded: 4"):
-            select_basis(ds, "Y", max_cells=3)
+            assert trace == reference_select(ds, "Y", None, eps)
