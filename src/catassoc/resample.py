@@ -85,6 +85,13 @@ def retention_ratio(ds: Dataset, y: str, subset: Sequence[str],
     fullset = [fullset] if isinstance(fullset, str) else list(fullset)
     if not set(subset) <= set(fullset):
         raise DataError("subset must be contained in fullset")
+    return _degree_ratio(ds, y, subset, fullset, alpha)
+
+
+def _degree_ratio(ds: Dataset, y: str, subset: Sequence[str],
+                  fullset: Sequence[str], alpha: WeightVector | str | None) -> float:
+    """:func:`retention_ratio` without its check that ``fullset`` holds
+    ``subset``."""
     denom = tau_joint(ds, y, fullset, alpha=alpha)
     if denom <= 0:
         raise NumericDomainError("full-set association degree is zero")

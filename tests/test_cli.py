@@ -5,8 +5,12 @@ import os
 
 import pytest
 
+from catassoc.association import make_weights
 from catassoc.cli import EXIT_DATA, EXIT_DOMAIN, EXIT_OK, main
+from catassoc.dataset import read_csv
 from catassoc.fixtures import loan_dataset
+from catassoc.resample import retention_ratio, stratified_bootstrap
+from catassoc.selection import tau_joint, y_marginal
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +125,42 @@ class TestBootstrapCommand:
         data = json.loads(capsys.readouterr().out)
         assert 0.5 <= data["result"]["mean"] <= 1.0 + 1e-9
         assert data["result"]["seed"] == 3
+
+    @pytest.mark.parametrize("stat,subset,weights", [
+        ("retention", "X1,X2", "gk"), ("retention", "X2", "ipw"),
+        ("retention", None, "ew"), ("tau", "X2,X1", "gk"), ("tau", None, "ipw")])
+    def test_matches_bootstrap_by_variable_names(self, stat, subset, weights,
+                                                 tmp_path, capsys):
+        # The command encodes each variable set once; every replicate must
+        # score as the statistic computed from the resampled variables.
+        flu = tmp_path / "flu.csv"
+        assert main(["simulate", "flu", "--n", "300", "--seed", "4",
+                     "--out", str(flu)]) == EXIT_OK
+        ds = read_csv(str(flu))
+        explanatory = [nm for nm in ds.names if nm != "Y"]
+        sub = subset.split(",") if subset else explanatory
+        alpha = make_weights(weights, p_y=y_marginal(ds, "Y"))
+        if stat == "retention":
+            def by_names(d):
+                return retention_ratio(d, "Y", sub, explanatory, alpha=alpha)
+        else:
+            def by_names(d):
+                return tau_joint(d, "Y", sub, alpha=alpha)
+        ref = stratified_bootstrap(ds, "Y", by_names, B=120, seed=8)
+        assert main(["bootstrap", "-i", str(flu), "--stat", stat, "--response", "Y",
+                     "--B", "120", "--seed", "8", "--weights", weights, "--format", "json"]
+                    + (["--subset", subset] if subset else [])) == EXIT_OK
+        got = json.loads(capsys.readouterr().out)["result"]
+        assert (got["point"], got["mean"], got["ci_low"], got["ci_high"]) == \
+            (ref.point, ref.mean, ref.ci_low, ref.ci_high)
+
+    def test_replicate_without_association_exit_code(self, tmp_path, capsys):
+        # A replicate that misses the one "d" record has a constant X.
+        p = tmp_path / "rare.csv"
+        p.write_text("X,Y\n" + "c,a\n" * 5 + "c,b\n" * 5 + "d,a\n", encoding="utf-8")
+        assert main(["bootstrap", "-i", str(p), "--stat", "retention",
+                     "--response", "Y", "--B", "20", "--seed", "1"]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: full-set association degree is zero\n"
 
 
 class TestSimulateAndFixtures:
