@@ -25,8 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .association import gk_tau_direct
-from .dataset import (CompositeVariable, Dataset, _cell_counts, _fold, composite,
-                      joint_from_counts)
+from .dataset import Dataset, _cell_counts, _compact, _fold, joint_from_counts
 from .errors import DataError
 from .selection import SelectionTrace, _forward_backward
 
@@ -94,7 +93,7 @@ def structural_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> SelectionTrace:
     the records per candidate; every score, forward and backward, is
     counted as :func:`ep` counts it and equals ``ep`` of that set.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise DataError("eps must be nonnegative")
     names = list(ds.names)
     if not names:
@@ -105,19 +104,20 @@ def structural_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> SelectionTrace:
         minimize=True, start=1.0, eps=eps, metric="ep")
 
 
-def _determines(comp: CompositeVariable, y: np.ndarray, n_y: int, eps: float) -> bool:
+def _determines(cells: tuple[np.ndarray, int], y: np.ndarray, n_y: int, eps: float) -> bool:
     """True when codes ``y`` in ``range(n_y)`` are a deterministic function
-    of the composite's cells."""
+    of the composite cells given as ``(codes, size)``."""
     if n_y < 2:
         return True  # constant variables are determined by anything
-    j = joint_from_counts(_cell_counts(comp.codes, comp.size, y, n_y))
+    j = joint_from_counts(_cell_counts(*cells, y, n_y))
     return gk_tau_direct(j) >= 1.0 - eps
 
 
-def _conditionals_01(ds: Dataset, comp: CompositeVariable, name: str, eps: float) -> bool:
-    """True when every probability of ``name`` given a composite cell is
-    within ``eps`` of 0 or 1."""
-    counts = _cell_counts(comp.codes, comp.size, ds.codes(name), ds.var(name).size)
+def _conditionals_01(ds: Dataset, cells: tuple[np.ndarray, int], name: str,
+                     eps: float) -> bool:
+    """True when every probability of ``name`` given a composite cell
+    (``cells`` as ``(codes, size)``) is within ``eps`` of 0 or 1."""
+    counts = _cell_counts(*cells, ds.codes(name), ds.var(name).size)
     cond = counts / counts.sum(axis=1, keepdims=True)
     return bool(np.all((cond <= eps) | (cond >= 1.0 - eps)))
 
@@ -138,9 +138,9 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
     for nm in basis:
         ds.var(nm)
     names = list(ds.names)
-    comp_b = composite(ds, basis)
+    cells_b = _compact(*_fold(ds, basis))
 
-    determined = {nm: _determines(comp_b, ds.codes(nm), ds.var(nm).size, eps)
+    determined = {nm: _determines(cells_b, ds.codes(nm), ds.var(nm).size, eps)
                   for nm in names}
 
     # (b) random subsets as composite responses
@@ -151,13 +151,12 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
         k = int(rng.integers(1, len(names) + 1))
         pick = sorted(rng.choice(len(names), size=k, replace=False).tolist())
         sub = [names[i] for i in pick]
-        comp_s = composite(ds, sub)
-        if not _determines(comp_b, comp_s.codes, comp_s.size, eps):
+        if not _determines(cells_b, *_compact(*_fold(ds, sub)), eps):
             subsets_ok = False
             break
 
     # (c) all conditionals 0/1
-    conditionals_01 = all(_conditionals_01(ds, comp_b, nm, eps) for nm in names)
+    conditionals_01 = all(_conditionals_01(ds, cells_b, nm, eps) for nm in names)
 
     # (d) minimality
     if len(basis) == 1:
@@ -165,7 +164,7 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
     else:
         minimal = True
         for v in basis:
-            reduced = composite(ds, [nm for nm in basis if nm != v])
+            reduced = _compact(*_fold(ds, [nm for nm in basis if nm != v]))
             if all(_determines(reduced, ds.codes(nm), ds.var(nm).size, eps)
                    for nm in names):
                 minimal = False

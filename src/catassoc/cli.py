@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv as _csv
 import io
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -350,9 +351,9 @@ _COMMANDS = {
 def run(cfg: RunConfig) -> int:
     """Dispatch one configured command, writing its report."""
     try:
-        if cfg.tol < 0 or cfg.eps < 0:
-            raise DataError("tolerances must be nonnegative")
-        text = _COMMANDS[cfg.command](cfg)
+        if not all(math.isfinite(t) and t >= 0 for t in (cfg.tol, cfg.eps)):
+            raise DataError("tolerances must be finite and nonnegative")
+        _emit(cfg, _COMMANDS[cfg.command](cfg))
     except NumericDomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -366,7 +367,6 @@ def run(cfg: RunConfig) -> int:
         print(f"error: {cfg.command}: not enough memory for this input",
               file=sys.stderr)
         return EXIT_DATA
-    _emit(cfg, text)
     return EXIT_OK
 
 

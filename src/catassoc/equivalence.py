@@ -13,7 +13,8 @@ response at five successively weaker levels:
 Each level implies the next, and for a binary response levels 3-5
 coincide.  Comparisons are tolerance-based by default (the float route)
 but can be made exact on integer-count data via ``exact=True``, which is
-what the hierarchy property tests use.
+what the hierarchy property tests use.  Both routes compute the same
+quantities from the same tables and share one definition of the levels.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ class EquivalenceReport:
     details: dict[str, float]
 
 
-def _tau_of(ds: Dataset, x: str, y: str) -> float:
-    return gk_tau_direct(to_joint(contingency(ds, x, y)))
-
-
 def e2prime(ds: Dataset, x1: str, x2: str, tol: float = DEFAULT_TOL) -> bool:
     """Mutual complete determination of two variables.
 
@@ -71,7 +68,8 @@ def e2prime(ds: Dataset, x1: str, x2: str, tol: float = DEFAULT_TOL) -> bool:
     """
     if x1 == x2:
         raise DataError("e2prime needs two distinct variables")
-    return (_tau_of(ds, x2, x1) >= 1.0 - tol) and (_tau_of(ds, x1, x2) >= 1.0 - tol)
+    return (gk_tau_direct(contingency(ds, x2, x1)) >= 1.0 - tol
+            and gk_tau_direct(contingency(ds, x1, x2)) >= 1.0 - tol)
 
 
 def equivalence_levels(ds: Dataset, x1: str, x2: str, y: str,
@@ -90,78 +88,46 @@ def equivalence_levels(ds: Dataset, x1: str, x2: str, y: str,
     for nm in (x1, x2, y):
         ds.var(nm)
 
+    # y given x1, y given x2, x1 given x2, x2 given x1
+    tables = [contingency(ds, a, b) for a, b in ((x1, y), (x2, y), (x2, x1), (x1, x2))]
     if exact:
-        return _equivalence_levels_exact(ds, x1, x2, y)
+        tol = 0.0
+        counts = [t.counts for t in tables]
+        taus = [_exact.tau_exact(c) for c in counts]
+        g1, g2 = (_exact.gamma_exact(c) for c in counts[:2])
+        th1, th2 = (_exact.theta_exact(c) for c in counts[:2])
+        t1, t2 = taus[:2]
+    else:
+        joints = [to_joint(t) for t in tables]
+        taus = [gk_tau_direct(j) for j in joints]
+        g1, g2 = (association_matrix(j).gamma for j in joints[:2])
+        v1, v2 = (association_vector(j) for j in joints[:2])
+        th1, th2 = v1.theta, v2.theta
+        if alpha is None:
+            alpha = make_weights("gk", p_y=joints[0].p_y)
+        if not alpha.regular:
+            raise NumericDomainError("level-5 comparison needs a regular weight vector")
+        t1, t2 = tau(v1, alpha), tau(v2, alpha)
 
-    j1 = to_joint(contingency(ds, x1, y))
-    j2 = to_joint(contingency(ds, x2, y))
-
-    tau_y_x1 = gk_tau_direct(j1)
-    tau_y_x2 = gk_tau_direct(j2)
-    tau_x1_x2 = _tau_of(ds, x2, x1)  # response x1 given x2
-    tau_x2_x1 = _tau_of(ds, x1, x2)
-
-    g1 = association_matrix(j1).gamma
-    g2 = association_matrix(j2).gamma
-    th1 = association_vector(j1)
-    th2 = association_vector(j2)
-
-    if alpha is None:
-        alpha = make_weights("gk", p_y=j1.p_y)
-    if not alpha.regular:
-        raise NumericDomainError("level-5 comparison needs a regular weight vector")
-    t1 = tau(th1, alpha)
-    t2 = tau(th2, alpha)
-
+    # Object arrays of Fractions keep the exact route exact at tol 0.
+    gamma_diff = np.abs(np.asarray(g1) - np.asarray(g2)).max()
+    theta_diff = np.abs(np.asarray(th1) - np.asarray(th2)).max()
+    tau_y_x1, tau_y_x2, tau_x1_x2, tau_x2_x1 = taus
     near1 = lambda v: v >= 1.0 - tol
     levels = {
         1: near1(tau_x1_x2) and near1(tau_x2_x1) and near1(tau_y_x1),
         2: near1(tau_y_x1) and near1(tau_y_x2),
-        3: bool(np.max(np.abs(g1 - g2)) <= tol),
-        4: bool(np.max(np.abs(th1.theta - th2.theta)) <= tol),
+        3: gamma_diff <= tol,
+        4: theta_diff <= tol,
         5: abs(t1 - t2) <= tol,
     }
+    levels = {i: bool(v) for i, v in levels.items()}
     details = {
         "tau_y_x1": tau_y_x1, "tau_y_x2": tau_y_x2,
         "tau_x1_x2": tau_x1_x2, "tau_x2_x1": tau_x2_x1,
-        "max_gamma_diff": float(np.max(np.abs(g1 - g2))),
-        "max_theta_diff": float(np.max(np.abs(th1.theta - th2.theta))),
+        "max_gamma_diff": gamma_diff, "max_theta_diff": theta_diff,
         "tau_alpha_x1": t1, "tau_alpha_x2": t2,
     }
+    details = {k: float(v) for k, v in details.items()}
     strongest = next((i for i in LEVELS if levels[i]), None)
     return EquivalenceReport(x1, x2, y, levels, strongest, tol, details)
-
-
-def _equivalence_levels_exact(ds: Dataset, x1: str, x2: str, y: str) -> EquivalenceReport:
-    c1 = contingency(ds, x1, y).counts
-    c2 = contingency(ds, x2, y).counts
-    c12 = contingency(ds, x2, x1).counts  # response x1 given x2
-    c21 = contingency(ds, x1, x2).counts
-
-    tau_y_x1 = _exact.tau_exact(c1)
-    tau_y_x2 = _exact.tau_exact(c2)
-    tau_x1_x2 = _exact.tau_exact(c12)
-    tau_x2_x1 = _exact.tau_exact(c21)
-
-    g1 = _exact.gamma_exact(c1)
-    g2 = _exact.gamma_exact(c2)
-    th1 = _exact.theta_exact(c1)
-    th2 = _exact.theta_exact(c2)
-
-    levels = {
-        1: tau_x1_x2 == 1 and tau_x2_x1 == 1 and tau_y_x1 == 1,
-        2: tau_y_x1 == 1 and tau_y_x2 == 1,
-        3: g1 == g2,
-        4: th1 == th2,
-        5: tau_y_x1 == tau_y_x2,
-    }
-    details = {
-        "tau_y_x1": float(tau_y_x1), "tau_y_x2": float(tau_y_x2),
-        "tau_x1_x2": float(tau_x1_x2), "tau_x2_x1": float(tau_x2_x1),
-        "max_gamma_diff": float(max(abs(a - b) for ra, rb in zip(g1, g2)
-                                    for a, b in zip(ra, rb))),
-        "max_theta_diff": float(max(abs(a - b) for a, b in zip(th1, th2))),
-        "tau_alpha_x1": float(tau_y_x1), "tau_alpha_x2": float(tau_y_x2),
-    }
-    strongest = next((i for i in LEVELS if levels[i]), None)
-    return EquivalenceReport(x1, x2, y, levels, strongest, 0.0, details)

@@ -183,7 +183,7 @@ def select_basis(ds: Dataset, y: str,
     score, forward and backward, is counted as :func:`tau_joint` counts it
     and equals ``tau_joint`` of that set.
     """
-    if eps_gain < 0:
+    if not eps_gain >= 0:
         raise DataError("eps_gain must be nonnegative")
     y_domain = ds.var(y).domain
     explanatory = [nm for nm in ds.names if nm != y]

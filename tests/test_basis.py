@@ -152,6 +152,11 @@ class TestStructuralBasis:
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
             assert trace.metric == "ep"
 
+    @pytest.mark.parametrize("eps", [-1e-9, float("nan")])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(DataError, match="eps must be nonnegative"):
+            structural_basis(planted_dataset(), eps=eps)
+
 
 def reference_structural(ds, eps):
     """structural_basis with every candidate set scored by the slow scorer."""

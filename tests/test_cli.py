@@ -4,6 +4,8 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from catassoc.association import make_weights
 from catassoc.cli import EXIT_DATA, EXIT_DOMAIN, EXIT_OK, main
@@ -233,12 +235,154 @@ class TestInputContract:
         assert exc.value.code == 2
         assert "empty variable list" in capsys.readouterr().err
 
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.txt"
+        assert main(["tau", "-i", "loan", "--x", "Age", "--y", "Risk",
+                     "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "-i", "loan", "--response", "Risk", "--eps", "nan"],
+        ["select", "-i", "loan", "--response", "Risk", "--eps", "inf"],
+        ["basis", "-i", "loan", "--eps", "nan"],
+        ["equiv", "-i", "tenths", "--x1", "X1", "--x2", "X2", "--y", "Y", "--tol", "inf"],
+        ["equiv", "-i", "tenths", "--x1", "X1", "--x2", "X2", "--y", "Y", "--tol=-inf"],
+    ])
+    def test_non_finite_tolerance_exit_code(self, argv, capsys):
+        assert main(argv + ["--format", "json"]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: tolerances must be finite and nonnegative\n"
+
+    def test_non_finite_tolerance_env_override(self, monkeypatch, capsys):
+        monkeypatch.setenv("CATASSOC_EPS", "nan")
+        assert main(["select", "-i", "loan", "--response", "Risk"]) == EXIT_DATA
+        assert "finite" in capsys.readouterr().err
+
     def test_out_of_memory_exit_code(self, monkeypatch, capsys):
         def verify_basis(*args, **kwargs):
             raise MemoryError
         monkeypatch.setattr("catassoc.cli.verify_basis", verify_basis)
         assert main(["basis", "-i", "loan"]) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: basis: not enough memory")
+
+
+def _fuzz_files(root):
+    """The inputs and output paths the fuzzed calls name, by placeholder."""
+    def write(name, data):
+        path = root / name
+        path.write_bytes(data)
+        return str(path)
+    rows = "".join(f"{a},{b},{y},{r}\n" for a, b, y, r in
+                   zip("abcabcabca" * 3, "xxyyxxyyzz" * 3, "0110" * 7 + "01", "lmh" * 10))
+    return {
+        "{valid}": write("valid.csv", ("X1,X2,Y,Risk\n" + rows + ",x,1,l\n").encode()),
+        "{latin1}": write("latin1.csv", b"X1,Y\na,0\n\xff,1\n"),
+        "{ragged}": write("ragged.csv", b"X1,X2,Y\na,b,0\nc,1\n"),
+        "{quoted}": write("quoted.csv", b'X1,"X2",Y\n"a,b",x,0\nc,"y ""z""",1\nc,x,1\n'),
+        "{missing}": str(root / "missing" / "out.txt"),
+        "{out}": str(root / "out.txt"),
+    }
+
+
+#: Each input and the variables it holds (none for inputs that fail to load).
+_INPUTS = {"loan": ["Age", "Risk", "Credit"], "tenths": ["X1", "X2", "Y"],
+           "survey": ["X", "Y"], "{valid}": ["X1", "X2", "Y", "Risk"],
+           "{quoted}": ["X1", "X2", "Y"], "{latin1}": [], "{ragged}": [], "nope": []}
+_BAD = ["", ",", "-1", "nan", "inf", "x"]
+#: Valid values of each flag that takes no variable names; --B, --n and
+#: --seed stay small, so a call tests the contract and not the memory.
+_VALUES = {"real": ["0", "1e-9", "0.01", "0.5"], "frac": ["0.5", "0.8", "0.95"],
+           "int": ["0", "1", "7", "50"],
+           "--weights": ["gk", "ew", "ipw"], "--stat": ["retention", "tau"],
+           "--format": ["text", "json", "csv"], "--missing": ["drop_row", "as_category"],
+           "--name": ["loan", "sevenths"]}
+_KIND = {"--tol": "real", "--eps": "real", "--train": "frac", "--level": "frac",
+         "--B": "int", "--n": "int", "--seed": "int"}
+_FLAGS = {
+    "matrix": ["--x", "--y"],
+    "vector": ["--x", "--y"],
+    "tau": ["--x", "--y", "--weights"],
+    "equiv": ["--x1", "--x2", "--y", "--weights", "--tol"],
+    "select": ["--response", "--weights", "--eps"],
+    "basis": ["--eps", "--minimal"],
+    "validate": ["--x", "--y", "--train", "--seed"],
+    "bootstrap": ["--stat", "--response", "--subset", "--B", "--n", "--level",
+                  "--weights", "--seed"],
+    "simulate": ["--n", "--seed"],
+    "fixtures": ["--name"],
+}
+
+
+@st.composite
+def _cli_calls(draw):
+    """An argv of one subcommand.  Each flag is present or not, and takes a
+    value from a small pool of valid values or, one time in ten, from a
+    pool of invalid ones: empty, a lone comma, negative, non-finite, not a
+    number, and unknown or duplicate variables.  ``--out`` names a file in
+    a temporary directory, or one in a directory that does not exist."""
+    mostly = st.sampled_from([True] * 9 + [False])
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    flags = _FLAGS[command] + ["--format", "--out"]
+    columns = []
+    if command == "simulate":
+        argv.append("flu" if draw(mostly) else "x")
+    elif command != "fixtures":
+        source = draw(st.sampled_from(sorted(_INPUTS)))
+        columns = _INPUTS[source]
+        argv += ["-i", source]
+        flags.append("--missing")
+    pairs = [f"{a},{b}" for a in columns for b in columns if a != b]
+    for flag in flags:
+        if not draw(st.booleans() if flag == "--out" else mostly):
+            continue
+        if flag == "--minimal":
+            argv.append(flag)
+            continue
+        if flag == "--out":  # never a relative path: the run would write it
+            argv += [flag, draw(st.sampled_from(["{out}", "{missing}"]))]
+            continue
+        if flag in ("--x", "--subset"):
+            valid = columns + pairs
+        else:
+            valid = _VALUES.get(_KIND.get(flag, flag), columns)
+        invalid = _BAD + ["Nope"] + [f"{c},{c}" for c in columns[:1]]
+        pool = valid if valid and draw(mostly) else invalid
+        argv += [flag, draw(st.sampled_from(pool))]
+    return argv
+
+
+def _no_constant(name):
+    raise ValueError(f"JSON holds {name}")
+
+
+class TestExitCodeFuzz:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        return _fuzz_files(tmp_path_factory.mktemp("fuzz"))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_cli_calls())
+    @example(argv=["tau", "-i", "loan", "--x", "Age", "--y", "Risk", "--out", "{missing}"])
+    @example(argv=["select", "-i", "loan", "--response", "Risk", "--eps", "nan",
+                   "--format", "json"])
+    @example(argv=["equiv", "-i", "tenths", "--x1", "X1", "--x2", "X2", "--y", "Y",
+                   "--tol", "inf", "--format", "json"])
+    def test_every_call_ends_in_a_documented_exit_code(self, argv, files, capsys):
+        argv = [files.get(a, a) for a in argv]
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        assert code in (EXIT_OK, 2, EXIT_DATA, EXIT_DOMAIN), (argv, err)
+        assert "Traceback" not in err, argv
+        flags = dict(zip(argv, argv[1:]))
+        if code == EXIT_OK and flags.get("--format") == "json" and "--out" not in flags:
+            json.loads(out, parse_constant=_no_constant)
 
 
 class TestReproducibility:

@@ -139,6 +139,28 @@ class TestHierarchy:
         assert seen > 30
 
 
+class TestFloatMatchesExact:
+    """The float route, which ``catassoc equiv`` runs, decides every level as
+    the exact route does on the ensemble and the counterexample fixtures."""
+
+    def test_random_triples(self):
+        rng = np.random.default_rng(12)
+        for _ in range(1000):
+            ds = random_triple_dataset(rng)
+            fast = equivalence_levels(ds, "X1", "X2", "Y")
+            exact = equivalence_levels(ds, "X1", "X2", "Y", exact=True)
+            assert fast.levels == exact.levels, (fast.details, exact.details)
+
+    @pytest.mark.parametrize("make", [sevenths_dataset, sixths_dataset, tenths_dataset])
+    def test_fixtures(self, make):
+        ds = make()
+        for x1, x2 in (("X1", "X2"), ("X2", "X1")):
+            fast = equivalence_levels(ds, x1, x2, "Y")
+            exact = equivalence_levels(ds, x1, x2, "Y", exact=True)
+            assert fast.levels == exact.levels
+            assert fast.strongest == exact.strongest
+
+
 class TestValidation:
     def test_distinct_variables_required(self):
         ds = tenths_dataset()

@@ -1,5 +1,9 @@
 """Bundled reference datasets: internal consistency."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +43,16 @@ class TestLoan:
     def test_unknown_pair(self):
         with pytest.raises(DataError):
             loan_pair_table("Age", "Income")
+
+    def test_rebuild_tool_reproduces_shipped_csv(self, tmp_path):
+        # The tool writes this path relative to its working directory.
+        csv = Path("src", "catassoc", "data", "loan.csv")
+        root = Path(__file__).resolve().parent.parent
+        (tmp_path / csv).parent.mkdir(parents=True)
+        p = subprocess.run([sys.executable, str(root / "tools" / "rebuild_loan_fixture.py")],
+                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert p.returncode == 0, p.stderr
+        assert (tmp_path / csv).read_bytes() == (root / csv).read_bytes()
 
 
 class TestSurvey:

@@ -198,6 +198,12 @@ class TestSelectBasis:
         with pytest.raises(DataError):
             select_basis(ds, "Y")
 
+    @pytest.mark.parametrize("eps", [-1e-9, float("nan")])
+    def test_bad_eps_rejected(self, eps):
+        # A NaN eps would let the forward pass add every variable.
+        with pytest.raises(DataError, match="eps_gain must be nonnegative"):
+            select_basis(random_dataset(np.random.default_rng(0)), "V0", eps_gain=eps)
+
 
 def reference_select(ds, y, alpha, eps_gain):
     """select_basis with every candidate set scored by the slow scorer."""
