@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .association import gk_tau_direct
-from .dataset import Dataset, _cell_counts, _compact, _fold, joint_from_counts
+from .association import _determination
+from .dataset import Dataset, _cell_counts, _compact, _fold
 from .errors import DataError
 from .selection import SelectionTrace, _forward_backward
 
@@ -104,24 +104,6 @@ def structural_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> SelectionTrace:
         minimize=True, start=1.0, eps=eps, metric="ep")
 
 
-def _determines(cells: tuple[np.ndarray, int], y: np.ndarray, n_y: int, eps: float) -> bool:
-    """True when codes ``y`` in ``range(n_y)`` are a deterministic function
-    of the composite cells given as ``(codes, size)``."""
-    if n_y < 2:
-        return True  # constant variables are determined by anything
-    j = joint_from_counts(_cell_counts(*cells, y, n_y))
-    return gk_tau_direct(j) >= 1.0 - eps
-
-
-def _conditionals_01(ds: Dataset, cells: tuple[np.ndarray, int], name: str,
-                     eps: float) -> bool:
-    """True when every probability of ``name`` given a composite cell
-    (``cells`` as ``(codes, size)``) is within ``eps`` of 0 or 1."""
-    counts = _cell_counts(*cells, ds.codes(name), ds.var(name).size)
-    cond = counts / counts.sum(axis=1, keepdims=True)
-    return bool(np.all((cond <= eps) | (cond >= 1.0 - eps)))
-
-
 def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
                  subset_samples: int = 32, seed: int = 0) -> BasisReport:
     """Check the defining properties of a structural basis.
@@ -131,44 +113,38 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
         completely determined (spot check of the closure property);
     (c) every conditional probability given a basis cell is 0 or 1;
     (d) minimality: removing any single member breaks (a).
+
+    Determined means tau >= 1 - ``eps`` for ``eps`` >= 0, exact at 0, and
+    0 or 1 means within ``eps``.  Memory is linear in the records.
     """
+    if not eps >= 0:
+        raise DataError("eps must be nonnegative")
     basis = list(basis)
     if not basis:
         raise DataError("empty basis")
-    for nm in basis:
-        ds.var(nm)
     names = list(ds.names)
-    cells_b = _compact(*_fold(ds, basis))
+    columns = [ds.codes(nm) for nm in names]
+    cells_b = _compact(*_fold(ds, basis))[0]
 
-    determined = {nm: _determines(cells_b, ds.codes(nm), ds.var(nm).size, eps)
-                  for nm in names}
+    verdicts = [_determination(cells_b, c, eps) for c in columns]  # (a) and (c)
+    determined = {nm: d for nm, (d, _) in zip(names, verdicts)}
+    conditionals_01 = all(c01 for _, c01 in verdicts)
 
     # (b) random subsets as composite responses
     rng = np.random.default_rng(seed)
     subsets_ok = True
-    n_sub = min(subset_samples, 2 ** len(names) - 1)
-    for _ in range(n_sub):
+    for _ in range(min(subset_samples, 2 ** len(names) - 1)):
         k = int(rng.integers(1, len(names) + 1))
-        pick = sorted(rng.choice(len(names), size=k, replace=False).tolist())
-        sub = [names[i] for i in pick]
-        if not _determines(cells_b, *_compact(*_fold(ds, sub)), eps):
+        sub = [names[i] for i in sorted(rng.choice(len(names), size=k, replace=False))]
+        if not _determination(cells_b, _compact(*_fold(ds, sub))[0], eps)[0]:
             subsets_ok = False
             break
 
-    # (c) all conditionals 0/1
-    conditionals_01 = all(_conditionals_01(ds, cells_b, nm, eps) for nm in names)
-
-    # (d) minimality
-    if len(basis) == 1:
-        minimal = any(ds.var(nm).size > 1 for nm in names)
-    else:
-        minimal = True
-        for v in basis:
-            reduced = _compact(*_fold(ds, [nm for nm in basis if nm != v]))
-            if all(_determines(reduced, ds.codes(nm), ds.var(nm).size, eps)
-                   for nm in names):
-                minimal = False
-                break
+    # (d) minimality; the composite of no variables is one cell
+    reduced = (_compact(*_fold(ds, [nm for nm in basis if nm != v]))[0]
+               if len(basis) > 1 else np.zeros_like(cells_b) for v in basis)
+    minimal = not any(all(_determination(cells, c, eps)[0] for c in columns)
+                      for cells in reduced)
 
     return BasisReport(tuple(basis), determined, subsets_ok, conditionals_01, minimal)
 
@@ -180,6 +156,8 @@ def minimal_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> tuple[str, ...]:
     greedy :func:`structural_basis` is the default deliverable; this
     exists for when a provably smallest basis matters.
     """
+    if not eps >= 0:
+        raise DataError("eps must be nonnegative")
     names = list(ds.names)
     if len(names) > 20:
         raise DataError("exhaustive basis search is limited to 20 variables")

@@ -26,6 +26,7 @@ import numpy as np
 from . import exact as _exact
 from .association import (
     WeightVector,
+    _determination,
     association_matrix,
     association_vector,
     gk_tau_direct,
@@ -62,14 +63,15 @@ class EquivalenceReport:
 def e2prime(ds: Dataset, x1: str, x2: str, tol: float = DEFAULT_TOL) -> bool:
     """Mutual complete determination of two variables.
 
-    True when each variable predicts the other perfectly, i.e. both
-    cross-variable association degrees are 1 within ``tol``.  Sits
-    between levels 1 and 3 in the hierarchy.
+    True when both cross-variable Goodman-Kruskal taus are at least
+    ``1 - tol`` (``tol`` >= 0).  Only observed (x1, x2) pairs are counted,
+    so memory is linear in the records; ``tol`` 0 is exact.  Sits between
+    levels 1 and 3 in the hierarchy.
     """
     if x1 == x2:
         raise DataError("e2prime needs two distinct variables")
-    return (gk_tau_direct(contingency(ds, x2, x1)) >= 1.0 - tol
-            and gk_tau_direct(contingency(ds, x1, x2)) >= 1.0 - tol)
+    a, b = ds.codes(x1), ds.codes(x2)
+    return _determination(b, a, tol)[0] and _determination(a, b, tol)[0]
 
 
 def equivalence_levels(ds: Dataset, x1: str, x2: str, y: str,

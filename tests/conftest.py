@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from catassoc import (
+    BasisReport,
     ContingencyTable,
     DataError,
     Dataset,
@@ -14,6 +15,7 @@ from catassoc import (
     Variable,
     association_vector,
     first_pick_tiebreak,
+    gk_tau_direct,
     joint_from_counts,
     make_weights,
     tau,
@@ -174,6 +176,50 @@ def slow_ep(ds, xs):
     """Sum of squared plug-in probabilities of the composite of ``xs``."""
     p = np.bincount(slow_cells(ds, xs)) / ds.n_records
     return float(p @ p)
+
+
+def slow_table(cells, target):
+    """Dense count table of observed cells (rows) against the observed
+    values of ``target`` (columns)."""
+    _, t = np.unique(target, return_inverse=True)
+    n_x, n_y = int(cells.max()) + 1, int(t.max()) + 1
+    return np.bincount(cells * n_y + t, minlength=n_x * n_y).reshape(n_x, n_y)
+
+
+def slow_determination(cells, target, eps):
+    """Goodman-Kruskal tau >= 1 - eps, and every conditional within eps
+    of 0 or 1, from the dense table of ``target`` given ``cells``."""
+    counts = slow_table(cells, target)
+    cond = counts / counts.sum(axis=1, keepdims=True)
+    conditionals_01 = bool(np.all((cond <= eps) | (cond >= 1.0 - eps)))
+    determined = (counts.shape[1] < 2
+                  or gk_tau_direct(joint_from_counts(counts)) >= 1.0 - eps)
+    return determined, conditionals_01
+
+
+def reference_verify_basis(ds, basis, eps, subset_samples=32, seed=0):
+    """verify_basis from dense tables over np.unique cells: the slow path
+    the pair counts must match for eps > 0."""
+    names = list(ds.names)
+    cells_b = slow_cells(ds, basis)
+    verdicts = [slow_determination(cells_b, ds.codes(nm), eps) for nm in names]
+    rng = np.random.default_rng(seed)
+    subsets_ok = True
+    for _ in range(min(subset_samples, 2 ** len(names) - 1)):
+        k = int(rng.integers(1, len(names) + 1))
+        pick = sorted(rng.choice(len(names), size=k, replace=False).tolist())
+        if not slow_determination(cells_b, slow_cells(ds, [names[i] for i in pick]), eps)[0]:
+            subsets_ok = False
+            break
+    minimal = True
+    for v in basis:
+        rest = [nm for nm in basis if nm != v]
+        cells = slow_cells(ds, rest) if rest else np.zeros(ds.n_records, dtype=np.int64)
+        if all(slow_determination(cells, ds.codes(nm), eps)[0] for nm in names):
+            minimal = False
+            break
+    return BasisReport(tuple(basis), {nm: d for nm, (d, _) in zip(names, verdicts)},
+                       subsets_ok, all(c for _, c in verdicts), minimal)
 
 
 def reference_forward_backward(ds, candidates, score_set, minimize, start,

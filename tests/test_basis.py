@@ -1,5 +1,7 @@
 """Structural basis discovery via the concentration functional."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,24 @@ from hypothesis import strategies as st
 from catassoc import (
     DataError,
     Dataset,
+    Variable,
     ep,
     minimal_basis,
     structural_basis,
     verify_basis,
 )
+from catassoc.exact import tau_exact
 
-from conftest import coded_datasets, outcome, random_dataset, reference_forward_backward, slow_ep
+from conftest import (
+    coded_datasets,
+    outcome,
+    random_dataset,
+    reference_forward_backward,
+    reference_verify_basis,
+    slow_cells,
+    slow_ep,
+    slow_table,
+)
 
 
 def planted_dataset(order=None, seed=17):
@@ -218,6 +231,29 @@ class TestVerifyBasis:
         report = verify_basis(ds, reduced)
         assert not all(report.determined.values())
 
+    @pytest.mark.parametrize("eps", [-1e-9, float("nan")])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(DataError, match="eps must be nonnegative"):
+            verify_basis(planted_dataset(), ["V1", "V2"], eps=eps)
+
+    def test_unobserved_category_in_subset(self):
+        ds = planted_dataset()
+        # records without V1 == "2": V1 and V4 keep a category no record holds
+        sub = ds.take(np.flatnonzero(ds.labels("V1") != "2"))
+        assert sub.var("V1").size == 3
+        report = verify_basis(sub, ["V1", "V2"])
+        assert report.passed
+
+    def test_unobserved_category_in_pinned_domain(self):
+        ds = Dataset.from_label_columns(
+            {"A": ["0", "1", "0", "1"], "B": ["x", "x", "y", "y"],
+             "C": ["u", "u", "u", "u"]},
+            domains={"B": ["x", "y", "z"], "C": ["u", "v"]})
+        report = verify_basis(ds, ["A", "B"], eps=0.0)
+        assert report.passed
+        assert report.determined == {"A": True, "B": True, "C": True}
+        assert not verify_basis(ds, ["A"]).determined["B"]
+
     def test_scheme_independence_of_determination(self):
         # the set of determined variables does not depend on the weight
         # scheme: degree 1 means complete determination for any regular
@@ -236,11 +272,88 @@ class TestVerifyBasis:
                 assert tau(th, w) >= 1 - 1e-12
 
 
+def admin_dataset(seed):
+    """Four independent base columns and six deterministic functions of
+    them, so B1..B4 is a structural basis."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(50, 3000)), int(rng.integers(2, 8))
+    b1, b2, b3, b4 = rng.integers(0, k, size=(4, n))
+    cols = {"B1": b1, "B2": b2, "B3": b3, "B4": b4, "D1": b1 * k + b2,
+            "D2": (b1 + b2) % k, "D3": (b3 + b4) % k, "D4": (b1 * b3) % k,
+            "D5": (b2 + 2 * b4) % k, "D6": np.maximum(b3, b4)}
+    return Dataset.from_label_columns({nm: [str(v) for v in c] for nm, c in cols.items()})
+
+
+class TestVerifyBasisCounts:
+    """verify_basis counts only observed (cell, value) pairs.  For eps > 0
+    the dense tables of the reference must give an equal report; at eps 0
+    determination must be exact."""
+
+    @given(coded_datasets(), st.randoms(use_true_random=False),
+           st.sampled_from([1e-12, 1e-9, 0.0137]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_reference(self, ds, rnd, eps):
+        basis = rnd.sample(list(ds.names), rnd.randint(1, len(ds.names)))
+        assert verify_basis(ds, basis, eps=eps) == reference_verify_basis(ds, basis, eps)
+
+    @given(coded_datasets(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_at_eps_zero(self, ds, rnd):
+        basis = rnd.sample(list(ds.names), rnd.randint(1, len(ds.names)))
+        report = verify_basis(ds, basis, eps=0.0)
+        cells = slow_cells(ds, basis)
+        for nm in ds.names:
+            table = slow_table(cells, ds.codes(nm))
+            # a constant variable is determined by anything
+            assert report.determined[nm] == (table.shape[1] < 2 or tau_exact(table) == 1)
+
+    def test_near_determination_within_eps(self):
+        # one record in 500 breaks Y = X, so tau of Y is just below 1
+        x = np.arange(500) % 5
+        y = x.copy()
+        y[0] = 1
+        ds = Dataset.from_label_columns({"X": [str(v) for v in x], "Y": [str(v) for v in y]})
+        for eps in (1e-9, 0.05):
+            assert verify_basis(ds, ["X"], eps=eps) == reference_verify_basis(ds, ["X"], eps)
+        assert verify_basis(ds, ["X"], eps=0.05).passed
+        assert not verify_basis(ds, ["X"], eps=0.0).determined["Y"]
+        assert not verify_basis(ds, ["X"], eps=1e-9).conditionals_01
+
+    def test_true_basis_passes_at_eps_zero(self):
+        failed = [seed for seed in range(40) if not verify_basis(
+            admin_dataset(seed), ["B1", "B2", "B3", "B4"], eps=0.0).passed]
+        assert failed == []
+
+    def test_wide_id_memory_linear_in_records(self):
+        # A dense (basis cells x ID categories) table would be over 9 GB.
+        rng = np.random.default_rng(19)
+        m, k = 60_000, 20_000
+        cols = {"ID": rng.integers(0, k, m), "X1": rng.integers(0, 4, m),
+                "X2": rng.integers(0, 4, m)}
+        cols["Y"] = (cols["X1"] + cols["X2"]) % 3
+        sizes = {"ID": k, "X1": 4, "X2": 4, "Y": 3}
+        ds = Dataset([Variable(nm, tuple(map(str, range(sizes[nm])))) for nm in cols],
+                     np.column_stack(list(cols.values())))
+        tracemalloc.start()
+        try:
+            report = verify_basis(ds, ["ID", "X1", "X2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20
+        assert report.passed
+
+
 class TestMinimalBasis:
     def test_matches_planted_size(self):
         ds = planted_dataset()
         mb = minimal_basis(ds)
         assert len(mb) == 2
+
+    @pytest.mark.parametrize("eps", [-1e-9, float("nan")])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(DataError, match="eps must be nonnegative"):
+            minimal_basis(planted_dataset(), eps=eps)
 
     def test_refuses_wide_datasets(self):
         cols = {f"W{i}": ["0", "1"] for i in range(21)}

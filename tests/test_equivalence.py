@@ -79,6 +79,32 @@ class TestE2Prime:
         with pytest.raises(DataError):
             e2prime(tenths_dataset(), "X1", "X1")
 
+    def test_relabeled_copy_at_tol_zero(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            m, k = int(rng.integers(10, 2000)), int(rng.integers(2, 12))
+            a = rng.integers(0, k, m)
+            ds = Dataset.from_label_columns({
+                "A": [str(v) for v in a],
+                "B": [str(v) for v in rng.permutation(k)[a]],
+            })
+            assert e2prime(ds, "A", "B", tol=0.0) and e2prime(ds, "B", "A", tol=0.0)
+
+    def test_constant_variable_symmetric(self):
+        ds = Dataset.from_label_columns({
+            "C": ["0", "0", "0", "0"],
+            "D": ["1", "1", "1", "1"],
+            "X": ["0", "1", "0", "1"],
+        })
+        assert not e2prime(ds, "C", "X") and not e2prime(ds, "X", "C")
+        assert e2prime(ds, "C", "D", tol=0.0) and e2prime(ds, "D", "C", tol=0.0)
+
+    def test_unobserved_category_ignored(self):
+        ds = Dataset.from_label_columns(
+            {"A": ["0", "1", "0", "1"], "B": ["b", "a", "b", "a"]},
+            domains={"A": ["0", "1", "2"]})
+        assert e2prime(ds, "A", "B", tol=0.0) and e2prime(ds, "B", "A", tol=0.0)
+
 
 class TestReflexivityAndSymmetry:
     def test_copy_is_equivalent_at_all_weak_levels(self):
