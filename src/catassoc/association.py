@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .dataset import ContingencyTable, JointDistribution, _compact, to_joint
+from .dataset import ContingencyTable, JointDistribution, _pair_counts, to_joint
 from .errors import DataError, NumericDomainError
 
 #: Default tolerance for algebraic identities checked in tests.
@@ -243,22 +243,35 @@ def gk_tau_direct(j: JointLike) -> float:
     return (cond_ep - ep_y) / (1.0 - ep_y)
 
 
+def _pair_tau(pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+              y_domain: tuple[str, ...], weights: WeightVector) -> float:
+    """:func:`tau` from the observed pairs of ``dataset._pair_counts``, with the
+    errors of :func:`association_vector`; a determined category's lift is 1."""
+    n_is, n_i, s = pairs
+    n_s = np.bincount(s, n_is, minlength=len(y_domain))
+    if not n_s.all():
+        raise NumericDomainError(
+            "response has a zero-probability category; drop unused categories first"
+        )
+    if len(y_domain) < 2:  # otherwise every category holds fewer than all records
+        raise NumericDomainError("response is constant; association vector undefined")
+    p_y = n_s / n_is.sum()
+    gamma_ss = np.bincount(s, n_is * (n_is / n_i), minlength=len(y_domain)) / n_s
+    return tau(AssociationVector((gamma_ss - p_y) / (1.0 - p_y), y_domain), weights)
+
+
 def _determination(cells: np.ndarray, target: np.ndarray, eps: float) -> tuple[bool, bool]:
     """Whether codes ``target`` are a function of composite codes ``cells``:
     Goodman-Kruskal tau >= 1 - eps, and every conditional probability
     within ``eps`` of 0 or 1, from the observed (cell, value) pairs only.
     Tau is exactly 1 when every cell holds one value; that decides eps 0."""
-    n_t = int(target.max()) + 1
-    pairs, n_pairs = _compact(cells * n_t + target, (int(cells.max()) + 1) * n_t)
-    rep = np.empty(n_pairs, dtype=np.int64)  # one record of each pair
-    rep[pairs] = np.arange(pairs.size)
-    n_is, n_i = np.bincount(pairs), np.bincount(cells)[cells[rep]]
+    n_is, n_i, t = _pair_counts(cells, int(cells.max()) + 1, target, int(target.max()) + 1)
     cond = n_is / n_i
     conditionals_01 = bool(np.all((cond <= eps) | (cond >= 1.0 - eps)))
     pure = bool(np.array_equal(n_is, n_i))
     if pure or not eps > 0:
         return pure, conditionals_01
-    p, p_i, p_t = n_is / pairs.size, n_i / pairs.size, np.bincount(target) / pairs.size
+    p, p_i, p_t = n_is / target.size, n_i / target.size, np.bincount(t, n_is) / target.size
     ep_t = float(p_t @ p_t)
     return (float((p * p / p_i).sum()) - ep_t) / (1.0 - ep_t) >= 1.0 - eps, conditionals_01
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .association import _determination
-from .dataset import Dataset, _cell_counts, _compact, _fold
+from .dataset import Dataset, _compact, _fold, _pair_counts
 from .errors import DataError
 from .selection import SelectionTrace, _forward_backward
 
@@ -61,9 +61,9 @@ class BasisReport:
                 and self.conditionals_01 and self.minimal)
 
 
-def _ep_from_counts(counts: np.ndarray, n_records: int) -> float:
-    """Ep from the one-column count table of a composite's observed cells."""
-    p = counts[:, 0] / n_records
+def _pair_ep(pairs: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+    """Ep from the pair counts of a composite's observed cells."""
+    p = pairs[0] / pairs[0].sum()
     return float(p @ p)
 
 
@@ -78,8 +78,7 @@ def ep(ds: Dataset, vars: Sequence[str]) -> EpValue:
     vars = [vars] if isinstance(vars, str) else list(vars)
     if not vars:
         raise DataError("ep needs at least one variable")
-    return EpValue(_ep_from_counts(_cell_counts(*_fold(ds, vars)), ds.n_records),
-                   tuple(vars))
+    return EpValue(_pair_ep(_pair_counts(*_fold(ds, vars))), tuple(vars))
 
 
 def structural_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> SelectionTrace:
@@ -100,7 +99,7 @@ def structural_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> SelectionTrace:
         raise DataError("dataset has no variables")
     # Ep of no variables is 1: all mass in one cell.
     return _forward_backward(
-        ds, names, lambda counts: _ep_from_counts(counts, ds.n_records), None,
+        ds, names, _pair_ep, None,
         minimize=True, start=1.0, eps=eps, metric="ep")
 
 

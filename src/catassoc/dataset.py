@@ -3,9 +3,9 @@
 A :class:`Dataset` stores records of category labels over named variables,
 encoded as dense integer codes.  From it one builds composite variables
 (observed joint values of several columns), contingency tables, and
-plug-in joint distributions.  Everything downstream (association measures,
-selection, prediction) consumes the :class:`JointDistribution` produced
-here.
+plug-in joint distributions.  Association matrices, vectors and
+prediction consume the :class:`JointDistribution` produced here; the
+scores of selection and bases count observed (cell, value) pairs instead.
 
 All estimation is plug-in: probabilities are empirical frequencies, with
 no smoothing.  Categories never observed in the data do not exist as far
@@ -438,19 +438,24 @@ def _fold(ds: Dataset, names: Sequence[str]) -> tuple[np.ndarray, int]:
     return keys, n_keys
 
 
-def _cell_counts(keys: np.ndarray, n_keys: int, y: np.ndarray | None = None,
-                 n_y: int = 1) -> np.ndarray:
-    """Record counts of the observed cells of a composite (rows, in sorted
-    key order, as :func:`composite` orders them) against the response
-    categories (columns; one column without a response).  ``keys`` lie in
-    ``range(n_keys)``; empty cells are dropped after counting."""
+def _pair_counts(keys: np.ndarray, n_keys: int, y: np.ndarray | None = None,
+                 n_y: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Observed (cell, response) pairs of a composite in sorted key order, as
+    :func:`composite` orders cells: each pair's count n_is, its cell's count
+    n_i and its response code (0 without one).  ``keys`` lie in
+    ``range(n_keys)``; memory is linear in the records."""
     if not _dense(n_keys * n_y, keys.size):
         keys, n_keys = _compact(keys, n_keys)
     if y is not None:
         keys = keys * n_y + y
-    counts = np.bincount(keys, minlength=n_keys * n_y).reshape(n_keys, n_y)
-    observed = counts.any(axis=1)
-    return counts if observed.all() else counts[observed]
+    if _dense(n_keys * n_y, keys.size):
+        n_is = np.bincount(keys)
+        pairs = np.flatnonzero(n_is)
+        n_is = n_is[pairs]
+    else:
+        pairs, n_is = np.unique(keys, return_counts=True)
+    cells, s = np.divmod(pairs, n_y)
+    return n_is, np.bincount(cells, n_is).astype(np.int64)[cells], s
 
 
 def composite(ds: Dataset, names: Sequence[str]) -> CompositeVariable:
@@ -461,8 +466,8 @@ def composite(ds: Dataset, names: Sequence[str]) -> CompositeVariable:
     of part domain sizes.  The parts are folded into one integer key
     (:func:`_fold`) and ranked (:func:`_compact`); labels are read from
     one record per cell.  Scores that need only the counts of the cells
-    skip the labels and count the folded key directly
-    (:func:`_cell_counts`).
+    skip the labels and count the observed pairs of the folded key
+    directly (:func:`_pair_counts`).
     """
     names = list(names)
     codes, size = _compact(*_fold(ds, names))

@@ -13,8 +13,8 @@ response at five successively weaker levels:
 Each level implies the next, and for a binary response levels 3-5
 coincide.  Comparisons are tolerance-based by default (the float route)
 but can be made exact on integer-count data via ``exact=True``, which is
-what the hierarchy property tests use.  Both routes compute the same
-quantities from the same tables and share one definition of the levels.
+what the hierarchy property tests use.  Both routes share one definition
+of the levels, and both decide levels 1 and 2 exactly at tolerance 0.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def equivalence_levels(ds: Dataset, x1: str, x2: str, y: str,
     ``alpha`` parameterizes level 5 and defaults to the Gini-share
     weights of the response.  With ``exact=True`` all comparisons are
     performed in rational arithmetic at tolerance zero (level 5 then
-    always uses the exact Gini-share weights).
+    always uses the exact Gini-share weights); otherwise ``tol`` >= 0.
     """
     if len({x1, x2, y}) != 3:
         raise DataError("x1, x2, y must be three distinct variables")
@@ -96,12 +96,17 @@ def equivalence_levels(ds: Dataset, x1: str, x2: str, y: str,
         tol = 0.0
         counts = [t.counts for t in tables]
         taus = [_exact.tau_exact(c) for c in counts]
+        determined = [t == 1 for t in taus]
         g1, g2 = (_exact.gamma_exact(c) for c in counts[:2])
         th1, th2 = (_exact.theta_exact(c) for c in counts[:2])
         t1, t2 = taus[:2]
     else:
+        if not tol >= 0:  # a negative tol would let level 1 hold without level 3
+            raise DataError("tol must be nonnegative")
         joints = [to_joint(t) for t in tables]
         taus = [gk_tau_direct(j) for j in joints]
+        determined = [_determination(ds.codes(t.x_name), ds.codes(t.y_name), tol)[0]
+                      for t in tables]
         g1, g2 = (association_matrix(j).gamma for j in joints[:2])
         v1, v2 = (association_vector(j) for j in joints[:2])
         th1, th2 = v1.theta, v2.theta
@@ -115,10 +120,10 @@ def equivalence_levels(ds: Dataset, x1: str, x2: str, y: str,
     gamma_diff = np.abs(np.asarray(g1) - np.asarray(g2)).max()
     theta_diff = np.abs(np.asarray(th1) - np.asarray(th2)).max()
     tau_y_x1, tau_y_x2, tau_x1_x2, tau_x2_x1 = taus
-    near1 = lambda v: v >= 1.0 - tol
+    y_x1, y_x2, x1_x2, x2_x1 = determined
     levels = {
-        1: near1(tau_x1_x2) and near1(tau_x2_x1) and near1(tau_y_x1),
-        2: near1(tau_y_x1) and near1(tau_y_x2),
+        1: x1_x2 and x2_x1 and y_x1,
+        2: y_x1 and y_x2,
         3: gamma_diff <= tol,
         4: theta_diff <= tol,
         5: abs(t1 - t2) <= tol,

@@ -12,8 +12,8 @@ in the same sense.
 
 Ties in the forward pass are broken by smaller single-variable domain
 size, then by smaller column index, which makes the whole procedure
-deterministic.  Each candidate is scored from one count of (chosen
-cell, candidate value, response) over the records, without sorting.
+deterministic.  Each candidate is scored from the observed (chosen cell,
+candidate value, response) triples, counted or, if too wide, sorted.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .association import WeightVector, association_vector, make_weights, tau
-from .dataset import ContingencyTable, Dataset, _cell_counts, _compact, _fold, to_joint
+from .association import WeightVector, _pair_tau, make_weights
+from .dataset import Dataset, _compact, _fold, _pair_counts
 from .errors import DataError
 
 #: Default improvement threshold on exact (non-sampled) data.
@@ -78,21 +78,13 @@ def _resolve_weights(ds: Dataset, y: str, alpha) -> WeightVector:
     return make_weights(scheme, p_y=y_marginal(ds, y))
 
 
-def _tau_from_counts(counts: np.ndarray, y_domain: tuple[str, ...],
-                     weights: WeightVector) -> float:
-    """Association degree from a (cell x response) count table; the
-    degree does not depend on the cell labels."""
-    joint = to_joint(ContingencyTable("", "", (), y_domain, counts))
-    return tau(association_vector(joint), weights)
-
-
 def tau_joint(ds: Dataset, y: str, xs: Sequence[str],
               alpha: WeightVector | str | None = None) -> float:
     """Association degree of the response given the composite of ``xs``.
 
-    Counted from the folded codes of ``xs`` against ``y``, as
-    :func:`select_basis` scores candidates, so both give equal values for
-    one variable set.
+    Counted from the observed (cell, value) pairs of ``xs`` against ``y``
+    as :func:`select_basis` scores candidates, so both give equal values
+    for one variable set; memory is linear in the records.
     """
     xs = [xs] if isinstance(xs, str) else list(xs)
     if not xs:
@@ -100,8 +92,8 @@ def tau_joint(ds: Dataset, y: str, xs: Sequence[str],
     if y in xs:
         raise DataError(f"response {y!r} appears among the explanatory variables")
     w = _resolve_weights(ds, y, alpha)
-    counts = _cell_counts(*_fold(ds, xs), ds.codes(y), ds.var(y).size)
-    return _tau_from_counts(counts, ds.var(y).domain, w)
+    pairs = _pair_counts(*_fold(ds, xs), ds.codes(y), ds.var(y).size)
+    return _pair_tau(pairs, ds.var(y).domain, w)
 
 
 def first_pick_tiebreak(ds: Dataset, candidates: Sequence[str]) -> str:
@@ -113,13 +105,13 @@ def first_pick_tiebreak(ds: Dataset, candidates: Sequence[str]) -> str:
 
 
 def _forward_backward(ds: Dataset, candidates: list[str],
-                      score_counts: Callable[[np.ndarray], float],
+                      score_pairs: Callable[[tuple], float],
                       y: str | None, minimize: bool, start: float, eps: float,
                       metric: str) -> SelectionTrace:
     """Greedy search of :func:`select_basis` and :func:`structural_basis`.
 
-    Every variable set is scored by ``score_counts`` on the
-    :func:`_cell_counts` of its composite against ``y``.  Forward: add the
+    Every variable set is scored by ``score_pairs`` on the
+    :func:`_pair_counts` of its composite against ``y``.  Forward: add the
     candidate with the largest score (smallest if ``minimize``), ties to
     :func:`first_pick_tiebreak`, until the best one improves on the
     current score (``start`` for no variables) by at most ``eps``; a
@@ -137,8 +129,8 @@ def _forward_backward(ds: Dataset, candidates: list[str],
         scores = {}
         for c in remaining:
             size = ds.var(c).size
-            scores[c] = score_counts(_cell_counts(codes * size + ds.codes(c),
-                                                  n_cells * size, y_codes, n_y))
+            scores[c] = score_pairs(_pair_counts(codes * size + ds.codes(c),
+                                                 n_cells * size, y_codes, n_y))
         best_val = min(scores.values()) if minimize else max(scores.values())
         tied = [c for c in remaining if scores[c] == best_val]
         pick = first_pick_tiebreak(ds, tied)
@@ -158,7 +150,7 @@ def _forward_backward(ds: Dataset, candidates: list[str],
         if len(kept) <= 1:
             break
         trial = [nm for nm in kept if nm != v]
-        val = score_counts(_cell_counts(*_fold(ds, trial), y_codes, n_y))
+        val = score_pairs(_pair_counts(*_fold(ds, trial), y_codes, n_y))
         if abs(current - val) <= eps:
             kept = trial
             pruned.append(v)
@@ -179,9 +171,9 @@ def select_basis(ds: Dataset, y: str,
     data where plug-in estimates carry noise.  Nothing bounds the
     composite's observed domain, and the plug-in degree over mostly
     singleton cells is inflated, so a near-unique column can be picked.
-    A forward step costs one count over the records per candidate; every
-    score, forward and backward, is counted as :func:`tau_joint` counts it
-    and equals ``tau_joint`` of that set.
+    A forward step costs one count over the records per candidate, and
+    memory is linear in the records; every score, forward and backward,
+    equals ``tau_joint`` of its variable set, counted the same way.
     """
     if not eps_gain >= 0:
         raise DataError("eps_gain must be nonnegative")
@@ -191,5 +183,5 @@ def select_basis(ds: Dataset, y: str,
         raise DataError("no explanatory variables")
     weights = _resolve_weights(ds, y, alpha)
     return _forward_backward(
-        ds, explanatory, lambda counts: _tau_from_counts(counts, y_domain, weights),
+        ds, explanatory, lambda pairs: _pair_tau(pairs, y_domain, weights),
         y, minimize=False, start=0.0, eps=eps_gain, metric="tau")

@@ -20,6 +20,8 @@ scale.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,32 +112,16 @@ def population_joint_flu(spec: FluSpec = DEFAULT_FLU) -> WeightedPopulation:
     Enumerates the full product support and multiplies the factorized
     probabilities; zero-mass cells are dropped.
     """
-    cond = np.asarray(spec.cond_y)
-    cells = []
-    probs = []
-    for ci, (x1, x2) in enumerate(_CELLS):
-        p_cell = spec.p_x1x2[ci]
-        for y in range(3):
-            p_y = cond[ci, y]
-            if p_y == 0:
-                continue
-            for r3 in (0, 1):
-                p_r3 = ((spec.carry_prob if r3 else 1 - spec.carry_prob)
-                        if x1 == 1 else (0.0 if r3 else 1.0))
-                if p_r3 == 0:
-                    continue
-                for r4 in (0, 1):
-                    p_r4 = ((spec.carry_prob if r4 else 1 - spec.carry_prob)
-                            if x2 == 1 else (0.0 if r4 else 1.0))
-                    if p_r4 == 0:
-                        continue
-                    for s5 in (0, 1):
-                        p_s5 = ((spec.z_prob if s5 else 1 - spec.z_prob)
-                                if x1 == 1 and x2 == 1 else (0.0 if s5 else 1.0))
-                        if p_s5 == 0:
-                            continue
-                        cells.append((y, x1, x2, r3, r4, s5))
-                        probs.append(p_cell * p_y * p_r3 * p_r4 * p_s5)
+    # A copy reads 1 with probability p if its parent is positive, else never.
+    copy = lambda bit, parent, p: (p if bit else 1 - p) if parent else float(not bit)
+    cells, probs = [], []
+    for (ci, (x1, x2)), y, r3, r4, s5 in itertools.product(
+            enumerate(_CELLS), range(3), (0, 1), (0, 1), (0, 1)):
+        factors = (spec.cond_y[ci][y], copy(r3, x1, spec.carry_prob),
+                   copy(r4, x2, spec.carry_prob), copy(s5, x1 and x2, spec.z_prob))
+        if 0 not in factors:
+            cells.append((y, x1, x2, r3, r4, s5))
+            probs.append(math.prod(factors, start=spec.p_x1x2[ci]))
     return WeightedPopulation(_flu_variables(), np.array(cells), np.array(probs))
 
 

@@ -6,21 +6,18 @@ from hypothesis import strategies as st
 
 from catassoc import (
     BasisReport,
-    ContingencyTable,
     DataError,
     Dataset,
     ForwardStep,
     NumericDomainError,
     SelectionTrace,
     Variable,
-    association_vector,
     first_pick_tiebreak,
     gk_tau_direct,
     joint_from_counts,
     make_weights,
-    tau,
-    to_joint,
 )
+from catassoc.association import _pair_tau
 
 # ---------------------------------------------------------------------
 # random-object generators (seeded by the caller for reproducibility)
@@ -161,15 +158,20 @@ def slow_weights(ds, y, scheme):
     return make_weights(scheme, p_y=counts / ds.n_records)
 
 
+def table_pairs(counts):
+    """The nonzero entries of a count table as (n_is, n_i, s) pairs in
+    row-major order, the input of the library's pair kernel."""
+    i, s = np.nonzero(counts)
+    return counts[i, s], counts.sum(axis=1)[i], s
+
+
 def slow_tau(ds, y, xs, weights):
     """Association degree of ``y`` given the composite of ``xs``."""
     cells, n_y = slow_cells(ds, xs), ds.var(y).size
     n_x = int(cells.max()) + 1
     counts = np.bincount(cells * n_y + ds.codes(y),
                          minlength=n_x * n_y).reshape(n_x, n_y)
-    joint = to_joint(ContingencyTable("X", y, tuple(range(n_x)),
-                                      ds.var(y).domain, counts))
-    return tau(association_vector(joint), weights)
+    return _pair_tau(table_pairs(counts), ds.var(y).domain, weights)
 
 
 def slow_ep(ds, xs):

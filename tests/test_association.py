@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catassoc import (
+    ContingencyTable,
     DataError,
     NumericDomainError,
     association_matrix,
@@ -19,12 +20,14 @@ from catassoc import (
     to_joint,
     contingency,
 )
+from catassoc.association import IDENTITY_ATOL, _pair_tau
+from catassoc.exact import tau_exact
 from catassoc.fixtures import (
     loan_pair_table,
     tenths_dataset,
 )
 
-from conftest import random_joint
+from conftest import outcome, random_joint, table_pairs
 
 LOAN_RISK_GAMMA_ONTIME = np.array([
     [.5108, .0407, .4485],
@@ -296,3 +299,42 @@ class TestAlgebraicProperties:
             m[np.arange(max(nx, ny)), assign] = p_x
             if (m.sum(axis=0) > 0).all():
                 assert abs(tau_scheme(joint_from_counts(m), "ew") - 1.0) <= 1e-12
+
+
+class TestPairKernel:
+    """Selection, tau_joint and the slow scorers score a table from its
+    nonzero entries alone; that must agree with the vector route, and for
+    gk weights with the exact rational tau."""
+
+    @given(counts_matrices.filter(_valid), st.sampled_from(["gk", "ew", "ipw"]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_vector_route_and_exact(self, counts, scheme):
+        table = np.array(counts, dtype=np.int64)
+        j = to_joint(ContingencyTable("X", "Y", tuple(range(table.shape[0])),
+                                      tuple(map(str, range(table.shape[1]))), table))
+        w = make_weights(scheme, p_y=j.p_y)
+        fast = _pair_tau(table_pairs(table), j.y_domain, w)
+        assert abs(fast - tau(association_vector(j), w)) <= IDENTITY_ATOL
+        if scheme == "gk":
+            assert abs(fast - float(tau_exact(table))) <= IDENTITY_ATOL
+
+    def test_determined_categories_score_exactly_one(self):
+        # each row holds one category, so every lift is exactly 1
+        table = np.array([[3, 0, 0], [0, 7, 0], [0, 0, 1], [0, 5, 0]])
+        for scheme in ("gk", "ew", "ipw"):
+            w = make_weights(scheme, p_y=table.sum(axis=0) / table.sum())
+            assert _pair_tau(table_pairs(table), ("a", "b", "c"), w) == float(w.alpha @ np.ones(3))
+
+    @pytest.mark.parametrize("counts, alpha", [
+        ([[2, 0], [3, 0]], [0.5, 0.5]),         # a category never observed
+        ([[2], [3]], [1.0]),                    # constant response
+        ([[2, 0], [0, 3]], [0.2, 0.3, 0.5]),    # weights of the wrong length
+        ([[2, 0, 0], [3, 0, 0]], [0.5, 0.5]),   # unobserved beats wrong length
+    ])
+    def test_errors_match_vector_route(self, counts, alpha):
+        table = np.array(counts)
+        y_domain = tuple(map(str, range(table.shape[1])))
+        w = make_weights("custom", custom=alpha)
+        slow = outcome(lambda: tau(association_vector(joint_from_counts(table)), w))
+        assert outcome(lambda: _pair_tau(table_pairs(table), y_domain, w)) == slow
+        assert isinstance(slow, tuple)

@@ -19,6 +19,7 @@ from catassoc import (
     read_csv,
     to_joint,
 )
+from catassoc.dataset import _pair_counts
 from catassoc.fixtures import loan_dataset
 
 from conftest import coded_datasets, random_dataset
@@ -292,3 +293,28 @@ class TestCompositeAgainstUnique:
                      records)
         assert ds.codes("A").flags.c_contiguous
         assert ds.records.tolist() == records.tolist()
+
+
+class TestPairCountsAgainstUnique:
+    """The pair counter behind every score: np.unique over the stacked
+    (key, response) rows is the reference for the order and counts of the
+    observed pairs, also when the product of the two ranges passes int64."""
+
+    @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 6)), min_size=1,
+                    max_size=80),
+           st.sampled_from([(61, 7), (61, 2**30), (2**40, 7), (2**40, 2**30)]),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unique_rows(self, rows, ranges, with_y):
+        n_keys, n_y = ranges if with_y else (ranges[0], 1)
+        # spread the small draws over the whole range, keeping their order
+        keys = np.array([k for k, _ in rows], dtype=np.int64) * ((n_keys - 1) // 60)
+        y = np.array([v for _, v in rows], dtype=np.int64) * ((n_y - 1) // 6)
+        n_is, n_i, s = _pair_counts(keys, n_keys, y if with_y else None, n_y)
+        pairs, counts = np.unique(np.stack([keys, y if with_y else 0 * y], 1), axis=0,
+                                  return_counts=True)
+        cells, cell_counts = np.unique(keys, return_counts=True)
+        assert n_is.tolist() == counts.tolist()
+        assert s.tolist() == pairs[:, 1].tolist()
+        assert n_i.dtype == np.int64
+        assert n_i.tolist() == cell_counts[np.searchsorted(cells, pairs[:, 0])].tolist()

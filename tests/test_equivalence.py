@@ -186,8 +186,49 @@ class TestFloatMatchesExact:
             assert fast.levels == exact.levels
             assert fast.strongest == exact.strongest
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_refinement_is_level_2_not_level_1(self, exact):
+        # A is a function of B, but B is not a function of A
+        rng = np.random.default_rng(14)
+        a = rng.integers(0, 4, 300)
+        ds = Dataset.from_label_columns({
+            "A": [str(v) for v in a],
+            "B": [str(v) for v in 2 * a + rng.integers(0, 2, a.size)],
+            "Y": [str(v) for v in a % 3],
+        })
+        for x1, x2 in (("A", "B"), ("B", "A")):
+            rep = equivalence_levels(ds, x1, x2, "Y", tol=0.0, exact=exact)
+            assert rep.levels[2] and not rep.levels[1]
+
+    def test_relabeled_copy_at_tol_zero(self):
+        # B is a relabeled copy of A and Y a function of A, so levels 1 and 2
+        # hold exactly; float tau may land one ulp below 1 on such tables.
+        rng = np.random.default_rng(13)
+        seen = 0
+        for _ in range(200):
+            m, k = int(rng.integers(10, 2000)), int(rng.integers(2, 12))
+            a = rng.integers(0, k, m)
+            y = rng.integers(0, 3, k)[a]
+            if len(set(y)) < 2:
+                continue
+            seen += 1
+            ds = Dataset.from_label_columns({
+                "A": [str(v) for v in a],
+                "B": [str(v) for v in rng.permutation(k)[a]],
+                "Y": [str(v) for v in y],
+            })
+            rep = equivalence_levels(ds, "A", "B", "Y", tol=0.0)
+            assert rep.levels[1] and rep.levels[2], rep.details
+        assert seen > 150
+
 
 class TestValidation:
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan")])
+    def test_bad_tol_rejected(self, tol):
+        # levels 1-2 would be decided as at tol 0 while 3-5 all fail
+        with pytest.raises(DataError, match="tol must be nonnegative"):
+            equivalence_levels(tenths_dataset(), "X1", "X2", "Y", tol=tol)
+
     def test_distinct_variables_required(self):
         ds = tenths_dataset()
         with pytest.raises(DataError):

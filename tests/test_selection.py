@@ -1,5 +1,7 @@
 """Forward-backward selection with a response: monotonicity and recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from catassoc import (
     DataError,
     Dataset,
+    Variable,
     association_vector,
     contingency,
     first_pick_tiebreak,
@@ -50,6 +53,43 @@ class TestTauJoint:
             tau_joint(ds, "V0", [])
         with pytest.raises(DataError):
             tau_joint(ds, "V0", ["V0", "V1"])
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 500])
+    def test_relabeled_copy_of_response_sums_the_weights(self, k):
+        # every lift is exactly 1, so the degree is the weights' sum
+        rng = np.random.default_rng(k)
+        y = rng.permutation(np.arange(2000) % k)
+        ds = Dataset.from_label_columns({
+            "C": [str(v) for v in rng.permutation(k)[y]],
+            "N": [str(v) for v in rng.integers(0, 3, y.size)],
+            "Y": [str(v) for v in y],
+        })
+        for scheme in ("gk", "ew", "ipw"):
+            w = make_weights(scheme, p_y=np.bincount(ds.codes("Y")) / ds.n_records)
+            assert tau_joint(ds, "Y", ["C"], alpha=scheme) == float(w.alpha @ np.ones(k))
+            assert tau_joint(ds, "Y", ["N", "C"], alpha=scheme) == float(w.alpha @ np.ones(k))
+
+    def test_wide_response_memory_linear_in_records(self):
+        # A dense (observed cells x response categories) table would be
+        # over 7 GB here.
+        rng = np.random.default_rng(20)
+        m, k = 60_000, 20_000
+        x = rng.integers(0, 10, (m, 5))
+        y = rng.permutation(np.arange(m) % k)
+        variables = [Variable("Y", tuple(map(str, range(k))))]
+        variables += [Variable(f"X{j}", tuple(map(str, range(10)))) for j in range(5)]
+        ds = Dataset(variables, np.column_stack([y, x]))
+        tracemalloc.start()
+        try:
+            value = tau_joint(ds, "Y", ["X0", "X1"])
+            tau_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            trace = select_basis(ds, "Y")
+            select_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tau_peak < 200 * 2**20 and select_peak < 200 * 2**20
+        assert 0 <= value < 1 and trace.final == tau_joint(ds, "Y", list(trace.basis))
 
     def test_matches_manual_composite(self):
         rng = np.random.default_rng(2)
