@@ -260,20 +260,21 @@ def _pair_tau(pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
     return tau(AssociationVector((gamma_ss - p_y) / (1.0 - p_y), y_domain), weights)
 
 
-def _determination(cells: np.ndarray, target: np.ndarray, eps: float) -> tuple[bool, bool]:
+def _determination(cells: np.ndarray, target: np.ndarray,
+                   eps: float) -> tuple[bool, bool, float]:
     """Whether codes ``target`` are a function of composite codes ``cells``:
-    Goodman-Kruskal tau >= 1 - eps, and every conditional probability
-    within ``eps`` of 0 or 1, from the observed (cell, value) pairs only.
-    Tau is exactly 1 when every cell holds one value; that decides eps 0."""
+    Goodman-Kruskal tau >= 1 - eps, every conditional probability within
+    ``eps`` of 0 or 1, and tau itself, from the observed (cell, value) pairs
+    only.  Tau is exactly 1 when every cell holds one value; that decides eps 0."""
     n_is, n_i, t = _pair_counts(cells, int(cells.max()) + 1, target, int(target.max()) + 1)
     cond = n_is / n_i
     conditionals_01 = bool(np.all((cond <= eps) | (cond >= 1.0 - eps)))
-    pure = bool(np.array_equal(n_is, n_i))
-    if pure or not eps > 0:
-        return pure, conditionals_01
+    if np.array_equal(n_is, n_i):
+        return True, conditionals_01, 1.0
     p, p_i, p_t = n_is / target.size, n_i / target.size, np.bincount(t, n_is) / target.size
     ep_t = float(p_t @ p_t)
-    return (float((p * p / p_i).sum()) - ep_t) / (1.0 - ep_t) >= 1.0 - eps, conditionals_01
+    tau_t = (float((p * p / p_i).sum()) - ep_t) / (1.0 - ep_t)
+    return bool(eps > 0 and tau_t >= 1.0 - eps), conditionals_01, tau_t
 
 
 def gini(p_y) -> GiniStats:

@@ -126,8 +126,8 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9,
     cells_b = _compact(*_fold(ds, basis))[0]
 
     verdicts = [_determination(cells_b, c, eps) for c in columns]  # (a) and (c)
-    determined = {nm: d for nm, (d, _) in zip(names, verdicts)}
-    conditionals_01 = all(c01 for _, c01 in verdicts)
+    determined = {nm: d for nm, (d, _, _) in zip(names, verdicts)}
+    conditionals_01 = all(c01 for _, c01, _ in verdicts)
 
     # (b) random subsets as composite responses
     rng = np.random.default_rng(seed)

@@ -36,7 +36,7 @@ from .errors import DataError, NumericDomainError
 from .fixtures import FIXTURES, fixture
 from .predict import split_validate
 from .resample import _degree_ratio, retention_ratio, stratified_bootstrap
-from .selection import select_basis, tau_joint, y_marginal
+from .selection import SelectionTrace, select_basis, tau_joint, y_marginal
 from .simgen import gen_flu
 
 EXIT_OK = 0
@@ -149,9 +149,9 @@ def _dataset_csv(ds: Dataset) -> str:
 def _cmd_matrix(cfg: RunConfig) -> str:
     ds = _load(cfg)
     j = to_joint(contingency(ds, cfg.x if len(cfg.x) > 1 else cfg.x[0], cfg.y))
-    result = rep.association_report(j)
     if cfg.format == "json":
-        return _json_out(cfg, result)
+        return _json_out(cfg, rep.association_report(j))
+    association_vector(j)  # a constant response is refused in every format
     gamma = association_matrix(j)
     if cfg.format == "csv":
         return rep.matrix_csv(gamma.gamma, gamma.y_domain)
@@ -161,9 +161,9 @@ def _cmd_matrix(cfg: RunConfig) -> str:
 def _cmd_vector(cfg: RunConfig) -> str:
     ds = _load(cfg)
     j = to_joint(contingency(ds, cfg.x if len(cfg.x) > 1 else cfg.x[0], cfg.y))
-    theta = association_vector(j)
     if cfg.format == "json":
         return _json_out(cfg, rep.association_report(j))
+    theta = association_vector(j)
     if cfg.format == "csv":
         return rep.matrix_csv(theta.theta[None, :], theta.y_domain)
     return rep.matrix_text(theta.theta[None, :], theta.y_domain)
@@ -193,18 +193,23 @@ def _cmd_equiv(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
+def _steps_text(trace: SelectionTrace) -> list[str]:
+    """The forward steps under a header naming the metric, then the pruned."""
+    lines = [f"{'step':>4}  {'variable':<12}  {trace.metric}"]
+    for k, s in enumerate(trace.forward_steps, 1):
+        lines.append(f"{k:>4}  {s.variable:<12}  {rep.fmt4(s.value)}")
+    lines.append(f"pruned: {', '.join(trace.pruned) or '(none)'}")
+    return lines
+
+
 def _cmd_select(cfg: RunConfig) -> str:
     ds = _load(cfg)
     trace = select_basis(ds, cfg.y,
                          alpha=_weights_for(cfg, y_marginal(ds, cfg.y)),
                          eps_gain=cfg.eps)
-    result = rep.trace_report(trace)
     if cfg.format == "json":
-        return _json_out(cfg, result)
-    lines = [f"{'step':>4}  {'variable':<12}  tau"]
-    for k, s in enumerate(trace.forward_steps, 1):
-        lines.append(f"{k:>4}  {s.variable:<12}  {rep.fmt4(s.value)}")
-    lines.append(f"pruned: {', '.join(trace.pruned) or '(none)'}")
+        return _json_out(cfg, rep.trace_report(trace))
+    lines = _steps_text(trace)
     lines.append(f"basis: {', '.join(trace.basis)}")
     lines.append(f"tau_final: {rep.fmt4(trace.final)}")
     return "\n".join(lines)
@@ -222,10 +227,7 @@ def _cmd_basis(cfg: RunConfig) -> str:
     result["verified"] = check.passed
     if cfg.format == "json":
         return _json_out(cfg, result)
-    lines = [f"{'step':>4}  {'variable':<12}  ep"]
-    for k, s in enumerate(trace.forward_steps, 1):
-        lines.append(f"{k:>4}  {s.variable:<12}  {rep.fmt4(s.value)}")
-    lines.append(f"pruned: {', '.join(trace.pruned) or '(none)'}")
+    lines = _steps_text(trace)
     lines.append(f"basis: {', '.join(basis)}")
     lines.append(f"verified: {'yes' if check.passed else 'no'}")
     return "\n".join(lines)

@@ -54,14 +54,6 @@ class Variable:
     def size(self) -> int:
         return len(self.domain)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.domain.index(label)
-        except ValueError:
-            raise DataError(
-                f"category {label!r} not in domain of variable {self.name!r}"
-            ) from None
-
 
 @dataclass(frozen=True)
 class CompositeVariable:
@@ -224,10 +216,6 @@ class ContingencyTable:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.counts.shape
 
 
 @dataclass(frozen=True)
@@ -530,52 +518,31 @@ def joint_from_counts(counts, x_domain=None, y_domain=None) -> JointDistribution
 class WeightedPopulation:
     """Exact finite population: support cells with probabilities.
 
-    Use this for analytic (infinite-sample) calculations; the
-    :meth:`joint` method marginalizes to a two-way plug-in distribution
-    exactly like :func:`contingency` + :func:`to_joint` would on sampled
-    records.
+    Use this for analytic (infinite-sample) calculations.  The support
+    cells are the records of a :class:`Dataset` (``support``); :meth:`joint`
+    weights each by its probability where :func:`contingency` +
+    :func:`to_joint` would count it once.
     """
 
     def __init__(self, variables: Sequence[Variable], cells: np.ndarray,
                  probs: np.ndarray):
-        self.variables = tuple(variables)
-        self.cells = np.asarray(cells, dtype=np.int64)
+        self.support = Dataset(variables, cells)
         self.probs = np.asarray(probs, dtype=np.float64)
-        if self.cells.ndim != 2 or self.cells.shape[1] != len(self.variables):
-            raise DataError("cells shape does not match variable count")
+        if self.probs.shape != (self.support.n_records,):
+            raise DataError("one probability per support cell is needed")
         if abs(self.probs.sum() - 1.0) > PROB_ATOL:
             raise DataError("population probabilities do not sum to 1")
-        self._index = {v.name: j for j, v in enumerate(self.variables)}
-
-    def position(self, name: str) -> int:
-        if name not in self._index:
-            raise DataError(f"unknown variable {name!r}")
-        return self._index[name]
 
     def marginal(self, name: str) -> np.ndarray:
-        j = self.position(name)
-        v = self.variables[j]
-        out = np.zeros(v.size)
-        np.add.at(out, self.cells[:, j], self.probs)
-        return out
+        return np.bincount(self.support.codes(name), self.probs,
+                           minlength=self.support.var(name).size)
 
     def joint(self, xs: Sequence[str], y: str) -> JointDistribution:
         """Exact two-way joint of the composite of ``xs`` against ``y``."""
         xs = [xs] if isinstance(xs, str) else list(xs)
         if y in xs:
             raise DataError(f"response {y!r} overlaps the explanatory parts")
-        xcols = self.cells[:, [self.position(nm) for nm in xs]]
-        yj = self.position(y)
-        keys, codes = np.unique(
-            [tuple(row) for row in xcols.tolist()], axis=0, return_inverse=True
-        )
-        yv = self.variables[yj]
-        p = np.zeros((len(keys), yv.size))
-        np.add.at(p, (codes, self.cells[:, yj]), self.probs)
-        domains = [self.variables[self.position(nm)].domain for nm in xs]
-        x_domain = tuple(
-            tuple(domains[j][keys[i, j]] for j in range(len(xs)))
-            for i in range(len(keys))
-        )
-        mass = p.sum()
-        return JointDistribution(p / mass, x_domain, yv.domain)
+        x, yv = composite(self.support, xs), self.support.var(y)
+        p = np.bincount(x.codes * yv.size + self.support.codes(y), self.probs,
+                        minlength=x.size * yv.size).reshape(x.size, yv.size)
+        return JointDistribution(p / p.sum(), x.domain, yv.domain)

@@ -14,7 +14,8 @@ Each level implies the next, and for a binary response levels 3-5
 coincide.  Comparisons are tolerance-based by default (the float route)
 but can be made exact on integer-count data via ``exact=True``, which is
 what the hierarchy property tests use.  Both routes share one definition
-of the levels, and both decide levels 1 and 2 exactly at tolerance 0.
+of the levels, and both decide levels 1 and 2 and their taus from the
+observed (given, target) pairs, exactly at tolerance 0.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .association import (
     _determination,
     association_matrix,
     association_vector,
-    gk_tau_direct,
     make_weights,
     tau,
 )
@@ -84,31 +84,42 @@ def equivalence_levels(ds: Dataset, x1: str, x2: str, y: str,
     weights of the response.  With ``exact=True`` all comparisons are
     performed in rational arithmetic at tolerance zero (level 5 then
     always uses the exact Gini-share weights); otherwise ``tol`` >= 0.
+
+    Levels 1-2 and the four ``tau_*`` details come from observed pairs
+    (a determined pair's tau is exactly 1); apart from the y|x1 and y|x2
+    tables of levels 3-5, memory is linear in the records.
     """
     if len({x1, x2, y}) != 3:
         raise DataError("x1, x2, y must be three distinct variables")
     for nm in (x1, x2, y):
         ds.var(nm)
-
-    # y given x1, y given x2, x1 given x2, x2 given x1
-    tables = [contingency(ds, a, b) for a, b in ((x1, y), (x2, y), (x2, x1), (x1, x2))]
     if exact:
         tol = 0.0
+    elif not tol >= 0:  # a negative tol would let level 1 hold without level 3
+        raise DataError("tol must be nonnegative")
+    for nm in (y, x1, x2):  # each is the response of a tau below
+        n = np.bincount(ds.codes(nm), minlength=ds.var(nm).size)
+        if not n.all():
+            raise NumericDomainError("response has a zero-probability category"
+                                     + ("" if exact else "; drop unused categories first"))
+        if n.size < 2:
+            raise NumericDomainError("response is constant" + ("" if exact else "; tau undefined"))
+
+    # y given x1, y given x2, x1 given x2, x2 given x1
+    verdicts = [_determination(ds.codes(given), ds.codes(target), tol)
+                for given, target in ((x1, y), (x2, y), (x2, x1), (x1, x2))]
+    y_x1, y_x2, x1_x2, x2_x1 = (d for d, _, _ in verdicts)
+    tau_y_x1, tau_y_x2, tau_x1_x2, tau_x2_x1 = (t for _, _, t in verdicts)
+    tables = [contingency(ds, x, y) for x in (x1, x2)]
+    if exact:
         counts = [t.counts for t in tables]
-        taus = [_exact.tau_exact(c) for c in counts]
-        determined = [t == 1 for t in taus]
-        g1, g2 = (_exact.gamma_exact(c) for c in counts[:2])
-        th1, th2 = (_exact.theta_exact(c) for c in counts[:2])
-        t1, t2 = taus[:2]
+        g1, g2 = (_exact.gamma_exact(c) for c in counts)
+        th1, th2 = (_exact.theta_exact(c) for c in counts)
+        t1, t2 = (_exact.tau_exact(c) for c in counts)
     else:
-        if not tol >= 0:  # a negative tol would let level 1 hold without level 3
-            raise DataError("tol must be nonnegative")
         joints = [to_joint(t) for t in tables]
-        taus = [gk_tau_direct(j) for j in joints]
-        determined = [_determination(ds.codes(t.x_name), ds.codes(t.y_name), tol)[0]
-                      for t in tables]
-        g1, g2 = (association_matrix(j).gamma for j in joints[:2])
-        v1, v2 = (association_vector(j) for j in joints[:2])
+        g1, g2 = (association_matrix(j).gamma for j in joints)
+        v1, v2 = (association_vector(j) for j in joints)
         th1, th2 = v1.theta, v2.theta
         if alpha is None:
             alpha = make_weights("gk", p_y=joints[0].p_y)
@@ -119,8 +130,6 @@ def equivalence_levels(ds: Dataset, x1: str, x2: str, y: str,
     # Object arrays of Fractions keep the exact route exact at tol 0.
     gamma_diff = np.abs(np.asarray(g1) - np.asarray(g2)).max()
     theta_diff = np.abs(np.asarray(th1) - np.asarray(th2)).max()
-    tau_y_x1, tau_y_x2, tau_x1_x2, tau_x2_x1 = taus
-    y_x1, y_x2, x1_x2, x2_x1 = determined
     levels = {
         1: x1_x2 and x2_x1 and y_x1,
         2: y_x1 and y_x2,

@@ -17,27 +17,22 @@ from .errors import NumericDomainError
 Matrix = list[list[Fraction]]
 
 
-def _normalize(counts) -> Matrix:
+def _joint(counts) -> tuple[Matrix, list[Fraction], list[Fraction]]:
+    """Joint probabilities and their row and column marginals; a response
+    category without mass is refused."""
     total = sum(sum(int(c) for c in row) for row in counts)
     if total <= 0:
         raise NumericDomainError("counts sum to zero")
-    return [[Fraction(int(c), total) for c in row] for row in counts]
-
-
-def marginals_exact(counts) -> tuple[list[Fraction], list[Fraction]]:
-    p = _normalize(counts)
-    p_x = [sum(row) for row in p]
+    p = [[Fraction(int(c), total) for c in row] for row in counts]
     p_y = [sum(col) for col in zip(*p)]
-    return p_x, p_y
+    if any(py == 0 for py in p_y):
+        raise NumericDomainError("response has a zero-probability category")
+    return p, [sum(row) for row in p], p_y
 
 
 def gamma_exact(counts) -> Matrix:
     """Association matrix as exact rationals; zero-mass X rows are skipped."""
-    p = _normalize(counts)
-    p_x = [sum(row) for row in p]
-    p_y = [sum(col) for col in zip(*p)]
-    if any(py == 0 for py in p_y):
-        raise NumericDomainError("response has a zero-probability category")
+    p, p_x, p_y = _joint(counts)
     ny = len(p_y)
     out = [[Fraction(0)] * ny for _ in range(ny)]
     for s in range(ny):
@@ -53,11 +48,7 @@ def gamma_exact(counts) -> Matrix:
 
 def theta_exact(counts) -> list[Fraction]:
     """Association vector as exact rationals."""
-    p = _normalize(counts)
-    p_x = [sum(row) for row in p]
-    p_y = [sum(col) for col in zip(*p)]
-    if any(py == 0 for py in p_y):
-        raise NumericDomainError("response has a zero-probability category")
+    p, p_x, p_y = _joint(counts)
     if any(py == 1 for py in p_y):
         raise NumericDomainError("response is constant")
     out = []
@@ -68,7 +59,7 @@ def theta_exact(counts) -> list[Fraction]:
 
 
 def gk_weights_exact(counts) -> list[Fraction]:
-    _, p_y = marginals_exact(counts)
+    p_y = _joint(counts)[2]
     w = [py * (1 - py) for py in p_y]
     total = sum(w)
     if total == 0:

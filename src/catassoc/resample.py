@@ -3,10 +3,9 @@
 Each replicate resamples records with replacement *within* each stratum,
 preserving stratum sizes exactly; with the response as the stratifying
 variable this keeps every response category present in every replicate.
-Intervals use the percentile method.  Replicates are derived from
-per-replicate child seeds of the caller's seed, so results are
-deterministic given (seed, B, dataset order) and independent of any
-parallel execution order.
+Intervals use the percentile method.  Replicate b draws from the b-th
+child seed of the caller's seed, so results are deterministic given
+(seed, B, dataset order), and replicate b is the same for every B > b.
 """
 
 from __future__ import annotations

@@ -199,6 +199,21 @@ def slow_determination(cells, target, eps):
     return determined, conditionals_01
 
 
+def reference_population_joint(pop, xs, y):
+    """Two-way joint of a population's composite of ``xs`` against ``y``,
+    from np.unique over the support cells' code tuples and an np.add.at
+    scatter of their probabilities: the path the population's joints must
+    match bit for bit.  Returns the probabilities and the x labels."""
+    sup = pop.support
+    rows = np.stack([sup.codes(nm) for nm in xs], axis=1).tolist()
+    keys, codes = np.unique([tuple(r) for r in rows], axis=0, return_inverse=True)
+    p = np.zeros((len(keys), sup.var(y).size))
+    np.add.at(p, (codes.ravel(), sup.codes(y)), pop.probs)
+    domains = [sup.var(nm).domain for nm in xs]
+    x_domain = tuple(tuple(d[k] for d, k in zip(domains, key)) for key in keys.tolist())
+    return p / p.sum(), x_domain
+
+
 def reference_verify_basis(ds, basis, eps, subset_samples=32, seed=0):
     """verify_basis from dense tables over np.unique cells: the slow path
     the pair counts must match for eps > 0."""

@@ -1,11 +1,14 @@
 """Equivalence levels between explanatory variables and their hierarchy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from catassoc import (
     DataError,
     Dataset,
+    NumericDomainError,
     e2prime,
     equivalence_levels,
 )
@@ -202,7 +205,7 @@ class TestFloatMatchesExact:
 
     def test_relabeled_copy_at_tol_zero(self):
         # B is a relabeled copy of A and Y a function of A, so levels 1 and 2
-        # hold exactly; float tau may land one ulp below 1 on such tables.
+        # hold exactly and every tau behind them is exactly 1.
         rng = np.random.default_rng(13)
         seen = 0
         for _ in range(200):
@@ -219,7 +222,30 @@ class TestFloatMatchesExact:
             })
             rep = equivalence_levels(ds, "A", "B", "Y", tol=0.0)
             assert rep.levels[1] and rep.levels[2], rep.details
+            assert all(rep.details[k] == 1.0 for k in
+                       ("tau_y_x1", "tau_y_x2", "tau_x1_x2", "tau_x2_x1")), rep.details
         assert seen > 150
+
+
+class TestMemory:
+    def test_wide_pair_memory_is_linear_in_records(self):
+        # Two 3,000-category columns: a dense x1-by-x2 table would take
+        # hundreds of MB, the observed pairs take a few.
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 3000, 10_000)
+        ds = Dataset.from_label_columns({
+            "A": [str(v) for v in a],
+            "B": [str(v) for v in rng.permutation(3000)[a]],
+            "Y": [str(v) for v in a % 4],
+        })
+        tracemalloc.start()
+        try:
+            rep = equivalence_levels(ds, "A", "B", "Y", tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.strongest == 1
+        assert peak < 50e6, peak
 
 
 class TestValidation:
@@ -233,6 +259,25 @@ class TestValidation:
         ds = tenths_dataset()
         with pytest.raises(DataError):
             equivalence_levels(ds, "X1", "X1", "Y")
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("name", ["Y", "X1", "X2"])
+    @pytest.mark.parametrize("flaw", ["constant", "unheld category"])
+    def test_degenerate_variable_rejected(self, flaw, name, exact):
+        cols = {"X1": ["a", "b", "a", "b", "c"], "X2": ["p", "p", "q", "q", "q"],
+                "Y": ["0", "1", "1", "0", "1"]}
+        domains = {}
+        if flaw == "constant":
+            cols[name] = ["k"] * 5
+            message = "response is constant" + ("" if exact else "; tau undefined")
+        else:
+            domains[name] = list(dict.fromkeys(cols[name])) + ["unheld"]
+            message = ("response has a zero-probability category"
+                       + ("" if exact else "; drop unused categories first"))
+        ds = Dataset.from_label_columns(cols, domains=domains)
+        with pytest.raises(NumericDomainError) as err:
+            equivalence_levels(ds, "X1", "X2", "Y", exact=exact)
+        assert str(err.value) == message
 
     def test_non_regular_alpha_rejected(self):
         from catassoc import make_weights

@@ -1,5 +1,7 @@
 """Screening-model generator: sampled data vs the exact population."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from catassoc import (
     tau_scheme,
 )
 from catassoc.fixtures import survey_table
+
+from conftest import reference_population_joint
 
 
 def pop_tau(pop, xs, scheme="gk"):
@@ -92,6 +96,22 @@ class TestPopulationJoint:
             assert abs(j.p_x[i] - spec.p_x1x2[k]) <= 1e-15
             cond = j.p_xy[i] / j.p_x[i]
             assert np.allclose(cond, spec.cond_y[k], atol=1e-15)
+
+    @pytest.mark.parametrize("spec", [
+        FluSpec(),
+        FluSpec(carry_prob=1.0, z_prob=0.5),
+        FluSpec(p_x1x2=(0.25, 0.25, 0.4, 0.1),
+                cond_y=((0.6, 0.3, 0.1), (0.2, 0.2, 0.6), (0.1, 0.8, 0.1), (0.5, 0.25, 0.25)),
+                carry_prob=0.35, z_prob=0.999),
+    ])
+    def test_joint_matches_reference_bitwise(self, spec):
+        pop = population_joint_flu(spec)
+        names = ["X1", "X2", "R3", "R4", "S5"]
+        for k in range(1, len(names) + 1):
+            for xs in itertools.combinations(names, k):
+                j = pop.joint(list(xs), "Y")
+                p, x_domain = reference_population_joint(pop, xs, "Y")
+                assert np.array_equal(j.p_xy, p) and j.x_domain == x_domain, xs
 
     def test_derived_columns_add_nothing(self):
         # conditional independence given both tests: the degree of the
