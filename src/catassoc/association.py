@@ -36,7 +36,6 @@ PRINT_ATOL = 5e-4
 
 JointLike = Union[JointDistribution, ContingencyTable]
 
-WEIGHT_SCHEMES = ("gk", "ew", "ipw")
 _SCHEME_ALIASES = {"equal": "ew", "ew": "ew", "gk": "gk", "ipw": "ipw"}
 
 
@@ -155,7 +154,8 @@ def association_vector(j: JointLike) -> AssociationVector:
     p, p_x, p_y = _checked_marginals(j)
     if (p_y >= 1).any() or j.n_y < 2:
         raise NumericDomainError("response is constant; association vector undefined")
-    e_sq = (p * p / p_x[:, None]).sum(axis=0)     # E[p(Y=s|X)^2]
+    # p / p_x first: exactly 1 where X determines s, so that lift is exactly 1.
+    e_sq = (p * (p / p_x[:, None])).sum(axis=0)   # E[p(Y=s|X)^2]
     gamma_ss = e_sq / p_y
     theta = (gamma_ss - p_y) / (1.0 - p_y)
     return AssociationVector(theta, j.y_domain)

@@ -151,7 +151,6 @@ def _cmd_matrix(cfg: RunConfig) -> str:
     j = to_joint(contingency(ds, cfg.x if len(cfg.x) > 1 else cfg.x[0], cfg.y))
     if cfg.format == "json":
         return _json_out(cfg, rep.association_report(j))
-    association_vector(j)  # a constant response is refused in every format
     gamma = association_matrix(j)
     if cfg.format == "csv":
         return rep.matrix_csv(gamma.gamma, gamma.y_domain)

@@ -22,10 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import ContingencyTable, Dataset, read_csv
+from .dataset import ContingencyTable, Dataset, Variable, read_csv
 from .errors import DataError
-
-LOAN_VARIABLES = ("On-Time", "Age", "Income", "Credit", "Risk")
 
 #: Pairwise counts for the loan data; rows follow the x variable's
 #: canonical domain, columns the y variable's.
@@ -101,13 +99,9 @@ _TENTHS_ROWS = [
 
 
 def _weighted_rows_dataset(rows) -> Dataset:
-    cols = {"Y": [], "X1": [], "X2": []}
-    for y, x1, x2, w in rows:
-        for _ in range(w):
-            cols["Y"].append(y)
-            cols["X1"].append(x1)
-            cols["X2"].append(x2)
-    return Dataset.from_label_columns(cols)
+    *cols, weights = zip(*rows)
+    distinct = Dataset.from_label_columns(dict(zip(("Y", "X1", "X2"), cols)))
+    return distinct.take(np.repeat(np.arange(len(rows)), weights))
 
 
 def loan_dataset() -> Dataset:
@@ -136,14 +130,9 @@ def survey_table() -> ContingencyTable:
 def survey_dataset() -> Dataset:
     """The survey table expanded to 24,000 two-column records."""
     ct = survey_table()
-    xs, ys = [], []
-    for i, xl in enumerate(ct.x_domain):
-        for j, yl in enumerate(ct.y_domain):
-            n = int(ct.counts[i, j])
-            xs += [xl] * n
-            ys += [yl] * n
-    return Dataset.from_label_columns({"X": xs, "Y": ys},
-                                      domains={"X": ct.x_domain, "Y": ct.y_domain})
+    cells = Dataset((Variable("X", ct.x_domain), Variable("Y", ct.y_domain)),
+                    np.indices(ct.counts.shape).reshape(2, -1).T)
+    return cells.take(np.repeat(np.arange(ct.counts.size), ct.counts.ravel()))
 
 
 def sevenths_dataset() -> Dataset:

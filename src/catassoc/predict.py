@@ -7,6 +7,9 @@ conditional mode.  Its expected confusion matrix equals the association
 matrix, which is what :func:`split_validate` demonstrates empirically:
 fit the matrix on a training split, predict proportionally on the test
 split, and compare the tallied confusion rates against the matrix.
+
+Every inverse-CDF draw of the package, here and in :mod:`.simgen`, goes
+through ``_draw``, whose memory is linear in the number of draws.
 """
 
 from __future__ import annotations
@@ -73,23 +76,21 @@ def proportional_predict(j: JointLike, x_value, rng: np.random.Generator) -> str
     return j.y_domain[t]
 
 
-def _draw(cond: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws from one distribution, one per entry of ``u``."""
-    cdf = np.cumsum(cond)
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, u, side="right")
+def _draw(cond: np.ndarray, u: np.ndarray, rows=0) -> np.ndarray:
+    """Inverse-CDF draws: ``u[k]`` is drawn from row ``rows[k]`` of ``cond``.
 
-
-def _draw_rows(cond: np.ndarray, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized inverse-CDF draws, one per entry of ``rows``.
-
-    Uses ``>=`` so that u = 0.0 can never select a zero-probability
-    category behind a flat CDF prefix.
+    ``cond`` is one distribution or a stack of them; ``rows`` defaults to
+    row 0 for every draw.  A draw is the number of CDF entries at or below
+    u, so u = 0.0 never selects a zero-probability category behind a flat
+    CDF prefix.
     """
-    cdf = np.cumsum(cond, axis=1)
+    cdf = np.cumsum(np.atleast_2d(cond), axis=1)
     cdf[:, -1] = 1.0
-    u = rng.random(rows.shape[0])
-    return (u[:, None] >= cdf[rows]).sum(axis=1)
+    # Numpy orders complex numbers by real part, then imaginary part, so
+    # the keys r + 1j*cdf[r] are sorted row after row and one search
+    # places each u exactly within its own row, with no float offsets.
+    keys = np.arange(cdf.shape[0])[:, None] + 1j * cdf
+    return np.searchsorted(keys.ravel(), rows + 1j * u, side="right") - rows * cdf.shape[1]
 
 
 def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
@@ -146,15 +147,14 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
 
     row_mass = counts_train.sum(axis=1)
     seen = row_mass > 0
-    cond = np.zeros_like(counts_train, dtype=float)
-    cond[seen] = counts_train[seen] / row_mass[seen, None]
+    cond = counts_train / np.maximum(row_mass, 1)[:, None]
 
     tx = x_codes[test_idx]
-    ty = y_codes[test_idx]
     usable = seen[tx]
     skipped = int((~usable).sum())
-    preds = _draw_rows(cond, tx[usable], rng)
-    confusion = np.bincount(ty[usable] * ny + preds, minlength=ny * ny).reshape(ny, ny)
+    tx, ty = tx[usable], y_codes[test_idx][usable]
+    preds = _draw(cond, rng.random(tx.size), tx)
+    confusion = np.bincount(ty * ny + preds, minlength=ny * ny).reshape(ny, ny)
     cm = ConfusionMatrix(confusion, ds.var(y).domain)
 
     occupied = confusion.sum(axis=1) > 0

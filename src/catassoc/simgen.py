@@ -26,16 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .association import _as_joint
 from .dataset import (
     ContingencyTable,
     Dataset,
     JointDistribution,
     Variable,
     WeightedPopulation,
-    to_joint,
 )
 from .errors import DataError
-from .predict import _draw, _draw_rows
+from .predict import _draw
 
 _CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -71,8 +71,6 @@ class FluSpec:
 
 DEFAULT_FLU = FluSpec()
 
-_FLU_COLUMNS = ("Y", "X1", "X2", "R3", "R4", "S5")
-
 
 def _flu_variables() -> tuple[Variable, ...]:
     return (
@@ -97,7 +95,7 @@ def gen_flu(n: int, seed: int, spec: FluSpec = DEFAULT_FLU) -> Dataset:
     cell = _draw(np.asarray(spec.p_x1x2), rng.random(n))
     x1 = np.asarray([c[0] for c in _CELLS])[cell]
     x2 = np.asarray([c[1] for c in _CELLS])[cell]
-    y = _draw_rows(np.asarray(spec.cond_y), cell, rng)
+    y = _draw(np.asarray(spec.cond_y), rng.random(n), cell)
     r3 = np.where(x1 == 1, (rng.random(n) < spec.carry_prob).astype(int), 0)
     r4 = np.where(x2 == 1, (rng.random(n) < spec.carry_prob).astype(int), 0)
     z = (rng.random(n) < spec.z_prob).astype(int)
@@ -136,8 +134,7 @@ def sample_joint(j: JointDistribution | ContingencyTable, n: int, seed: int,
     """
     if n < 1:
         raise DataError("n must be at least 1")
-    if isinstance(j, ContingencyTable):
-        j = to_joint(j)
+    j = _as_joint(j)
     rng = np.random.default_rng(seed)
     flat = j.p_xy.ravel()
     idx = _draw(flat, rng.random(n))

@@ -48,6 +48,21 @@ class TestMatrix:
         rc = main(["matrix", "-i", loan_csv, "--x", "Age,Income", "--y", "Risk"])
         assert rc == EXIT_OK
 
+    @pytest.mark.parametrize("fmt, code", [("text", EXIT_OK), ("csv", EXIT_OK),
+                                           ("json", EXIT_DOMAIN)])
+    def test_constant_response(self, tmp_path, capsys, fmt, code):
+        # the 1x1 matrix is defined; the JSON report also holds the
+        # association vector and degrees, which are not
+        p = tmp_path / "const.csv"
+        p.write_text("A,Y\na,0\nb,0\n", encoding="utf-8")
+        assert main(["matrix", "-i", str(p), "--x", "A", "--y", "Y",
+                     "--format", fmt]) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_OK:
+            assert "1.0" in out and not err
+        else:
+            assert "response is constant" in err
+
 
 class TestTau:
     def test_loan_age_risk(self, loan_csv, capsys):

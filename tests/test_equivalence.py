@@ -9,6 +9,8 @@ from catassoc import (
     DataError,
     Dataset,
     NumericDomainError,
+    association_vector,
+    contingency,
     e2prime,
     equivalence_levels,
 )
@@ -166,6 +168,27 @@ class TestHierarchy:
             rep = equivalence_levels(ds, "X1", "X2", "Y", exact=True)
             assert rep.levels[3] == rep.levels[4] == rep.levels[5], rep.details
         assert seen > 30
+
+
+    def test_determined_pairs_at_tol_zero(self):
+        # A and B each refine Y, so level 2 holds; both association
+        # matrices are the identity and every lift is exactly 1, so the
+        # float route must find levels 3-5 at tol 0 as well.
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            m, n_y = int(rng.integers(20, 3000)), int(rng.integers(2, 5))
+            k1, k2 = (int(v) for v in rng.integers(1, 10, 2))
+            y = rng.integers(0, n_y, m)
+            ds = Dataset.from_label_columns({
+                "A": [str(v) for v in y * k1 + rng.integers(0, k1, m)],
+                "B": [str(v) for v in y * k2 + rng.integers(0, k2, m)],
+                "Y": [str(v) for v in y],
+            })
+            rep = equivalence_levels(ds, "A", "B", "Y", tol=0.0)
+            assert rep.levels[2], rep.details
+            assert rep.levels[3] and rep.levels[4] and rep.levels[5], rep.details
+            for x in ("A", "B"):
+                assert (association_vector(contingency(ds, x, "Y")).theta == 1.0).all()
 
 
 class TestFloatMatchesExact:

@@ -1,10 +1,14 @@
 """Proportional prediction and split-sample validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from catassoc import (
     DataError,
+    Dataset,
+    Variable,
     association_matrix,
     joint_from_counts,
     population_joint_flu,
@@ -12,7 +16,7 @@ from catassoc import (
     sample_joint,
     split_validate,
 )
-from catassoc.predict import _draw_rows
+from catassoc.predict import _draw
 
 
 def strong_joint(n=5, hit=0.9):
@@ -139,7 +143,7 @@ class TestExpectedConfusionEqualsMatrix:
         rng = np.random.default_rng(10)
         pred_freq = np.zeros((3, 3))
         for i in range(3):
-            draws = _draw_rows(cond, np.full(n, i), rng)
+            draws = _draw(cond, rng.random(n), np.full(n, i))
             pred_freq[i] = np.bincount(draws, minlength=3) / n
         # weight each cell's empirical prediction rates by p(X=i | Y=s)
         p_x_given_y = (j.p_xy / j.p_y[None, :]).T  # rows: s
@@ -156,3 +160,79 @@ class TestExpectedConfusionEqualsMatrix:
         assert np.abs(np.diag(g) - np.diag(c)).max() < 0.02
         off = ~np.eye(4, dtype=bool)
         assert np.abs(g[off] - c[off]).max() < 0.02
+
+
+def slow_draw(cond, u, rows):
+    """One ``np.searchsorted`` per draw, on that draw's own row."""
+    cond = np.atleast_2d(cond)
+    out = []
+    for uk, r in zip(u, np.broadcast_to(rows, u.shape)):
+        cdf = np.cumsum(cond[r])
+        cdf[-1] = 1.0
+        out.append(np.searchsorted(cdf, uk, side="right"))
+    return np.array(out, dtype=np.intp)
+
+
+class TestDraw:
+    """The single inverse-CDF sampler against a per-row reference."""
+
+    def random_rows(self, rng, n_rows, n_cat):
+        cond = rng.random((n_rows, n_cat)) * (rng.random((n_rows, n_cat)) < 0.6)
+        cond[rng.random(n_rows) < 0.3, : n_cat // 2] = 0.0  # zero prefixes
+        cond[rng.random(n_rows) < 0.1] = 0.0                 # all-zero rows
+        mass = cond.sum(axis=1, keepdims=True)
+        return cond / np.where(mass > 0, mass, 1)
+
+    def queries(self, rng, cond, rows, n):
+        # uniform values, u = 0.0 and values equal to CDF entries
+        u = rng.random(n)
+        u[rng.random(n) < 0.1] = 0.0
+        cdf = np.cumsum(np.atleast_2d(cond), axis=1)[rows]
+        hit = rng.random(n) < 0.3
+        col = rng.integers(0, cdf.shape[-1], n)
+        u[hit] = np.minimum(cdf[np.arange(n), col][hit], np.nextafter(1.0, 0.0))
+        return u
+
+    def test_stacks_match_per_row_search(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n_rows, n_cat, n = (int(v) for v in rng.integers(1, 12, 3))
+            cond = self.random_rows(rng, n_rows, n_cat)
+            rows = rng.integers(0, n_rows, n)
+            u = self.queries(rng, cond, rows, n)
+            assert (_draw(cond, u, rows) == slow_draw(cond, u, rows)).all()
+
+    def test_one_distribution_matches_search(self):
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            n_cat, n = (int(v) for v in rng.integers(1, 12, 2))
+            cond = self.random_rows(rng, 1, n_cat)[0]
+            u = self.queries(rng, cond, np.zeros(n, dtype=int), n)
+            assert (_draw(cond, u) == slow_draw(cond, u, 0)).all()
+
+    def test_zero_never_selects_an_empty_category(self):
+        cond = np.array([[0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        u = np.zeros(3)
+        assert _draw(cond, u, np.arange(3)).tolist() == [2, 3, 0]
+        assert _draw(cond[0], u).tolist() == [2, 2, 2]
+
+
+class TestSplitValidateMemory:
+    def test_wide_response_memory_is_linear_in_draws(self):
+        # 20,000 test draws over 500 categories: a (draws x categories)
+        # table alone would take 80 MB.
+        rng = np.random.default_rng(3)
+        m = 100_000
+        x = rng.integers(0, 20, m)
+        y = (25 * x + rng.integers(0, 60, m)) % 500
+        ds = Dataset([Variable("X", tuple(map(str, range(20)))),
+                      Variable("Y", tuple(map(str, range(500))))], np.stack([x, y], 1))
+        tracemalloc.start()
+        try:
+            res = split_validate(ds, "X", "Y", seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.test_confusion.counts.sum() == res.n_test == 20_000
+        assert peak < 30 * 2**20, peak
+
