@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .dataset import ContingencyTable, JointDistribution, _pair_counts, to_joint
+from .dataset import ContingencyTable, JointDistribution, _frozen, _pair_counts, to_joint
 from .errors import DataError, NumericDomainError
 
 #: Default tolerance for algebraic identities checked in tests.
@@ -51,9 +51,7 @@ class AssociationMatrix:
     y_domain: tuple[str, ...]
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=np.float64)
-        g.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", _frozen(self.gamma, np.float64))
 
     @property
     def n_y(self) -> int:
@@ -72,9 +70,7 @@ class AssociationVector:
     y_domain: tuple[str, ...]
 
     def __post_init__(self):
-        t = np.asarray(self.theta, dtype=np.float64)
-        t.setflags(write=False)
-        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "theta", _frozen(self.theta, np.float64))
 
     @property
     def n_y(self) -> int:
@@ -94,9 +90,7 @@ class WeightVector:
     regular: bool
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=np.float64)
-        a.setflags(write=False)
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "alpha", _frozen(self.alpha, np.float64))
 
 
 @dataclass(frozen=True)

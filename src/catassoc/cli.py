@@ -140,15 +140,13 @@ def _dataset_csv(ds: Dataset) -> str:
     buf = io.StringIO()
     w = _csv.writer(buf, lineterminator="\n")
     w.writerow(ds.names)
-    cols = [ds.labels(nm) for nm in ds.names]
-    for i in range(ds.n_records):
-        w.writerow([col[i] for col in cols])
+    w.writerows(zip(*(ds.labels(nm) for nm in ds.names)))
     return buf.getvalue()
 
 
 def _cmd_matrix(cfg: RunConfig) -> str:
     ds = _load(cfg)
-    j = to_joint(contingency(ds, cfg.x if len(cfg.x) > 1 else cfg.x[0], cfg.y))
+    j = to_joint(contingency(ds, cfg.x, cfg.y))
     if cfg.format == "json":
         return _json_out(cfg, rep.association_report(j))
     gamma = association_matrix(j)
@@ -159,7 +157,7 @@ def _cmd_matrix(cfg: RunConfig) -> str:
 
 def _cmd_vector(cfg: RunConfig) -> str:
     ds = _load(cfg)
-    j = to_joint(contingency(ds, cfg.x if len(cfg.x) > 1 else cfg.x[0], cfg.y))
+    j = to_joint(contingency(ds, cfg.x, cfg.y))
     if cfg.format == "json":
         return _json_out(cfg, rep.association_report(j))
     theta = association_vector(j)
@@ -220,7 +218,7 @@ def _cmd_basis(cfg: RunConfig) -> str:
     basis = list(trace.basis)
     if cfg.minimal:
         basis = list(minimal_basis(ds, eps=cfg.eps))
-    check = verify_basis(ds, basis, eps=max(cfg.eps, 1e-9))
+    check = verify_basis(ds, basis, eps=cfg.eps)
     result = rep.trace_report(trace)
     result["basis"] = basis
     result["verified"] = check.passed
@@ -234,7 +232,7 @@ def _cmd_basis(cfg: RunConfig) -> str:
 
 def _cmd_validate(cfg: RunConfig) -> str:
     ds = _load(cfg)
-    res = split_validate(ds, cfg.x if len(cfg.x) > 1 else cfg.x[0], cfg.y,
+    res = split_validate(ds, cfg.x, cfg.y,
                          train_frac=cfg.train_frac, seed=cfg.seed)
     if cfg.format == "json":
         result = {

@@ -78,6 +78,14 @@ class CompositeVariable:
         return len(self.domain)
 
 
+def _frozen(a, dtype, order: str = "K") -> np.ndarray:
+    """Read-only ``a`` of ``dtype`` in ``order``, for value types to check, then
+    store.  An input already of that dtype and layout is frozen in place, not copied."""
+    a = np.asarray(a, dtype=dtype, order=order)
+    a.setflags(write=False)
+    return a
+
+
 class Dataset:
     """Immutable table of categorical records.
 
@@ -93,7 +101,7 @@ class Dataset:
 
     def __init__(self, variables: Sequence[Variable], records: np.ndarray):
         variables = tuple(variables)
-        records = np.asarray(records, dtype=np.int64, order="F")
+        records = _frozen(records, np.int64, order="F")
         if records.ndim != 2 or records.shape[1] != len(variables):
             raise DataError("records shape does not match variable count")
         if records.shape[0] < 1:
@@ -101,13 +109,12 @@ class Dataset:
         names = [v.name for v in variables]
         if len(set(names)) != len(names):
             raise DataError("duplicate variable names")
-        for j, v in enumerate(variables):
-            col = records[:, j]
-            if col.min() < 0 or col.max() >= v.size:
-                raise DataError(f"record codes out of range for {v.name!r}")
+        sizes = np.array([v.size for v in variables])
+        bad = np.flatnonzero((records.min(axis=0) < 0) | (records.max(axis=0) >= sizes))
+        if bad.size:
+            raise DataError(f"record codes out of range for {names[bad[0]]!r}")
         self._variables = variables
         self._records = records
-        self._records.setflags(write=False)
         self._index = {v.name: j for j, v in enumerate(variables)}
 
     @property
@@ -127,10 +134,7 @@ class Dataset:
         return tuple(v.name for v in self._variables)
 
     def var(self, name: str) -> Variable:
-        try:
-            return self._variables[self._index[name]]
-        except KeyError:
-            raise DataError(f"unknown variable {name!r}") from None
+        return self._variables[self.position(name)]
 
     def position(self, name: str) -> int:
         """Column index of a variable, used for index tie-breaks."""
@@ -207,10 +211,9 @@ class ContingencyTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _frozen(self.counts, np.int64)
         if (counts < 0).any():
             raise DataError("negative counts")
-        counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -220,10 +223,10 @@ class ContingencyTable:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Plug-in joint distribution of (X, Y) with cached marginals.
+    """Plug-in joint distribution of (X, Y), marginals summed on each access.
 
-    Invariants (checked on construction): all entries nonnegative, total
-    mass 1 within ``PROB_ATOL``, and marginals equal to row/column sums.
+    Invariants (checked on construction): all entries nonnegative and total
+    mass 1 within ``PROB_ATOL``.
     """
 
     p_xy: np.ndarray
@@ -231,14 +234,13 @@ class JointDistribution:
     y_domain: tuple[str, ...]
 
     def __post_init__(self):
-        p = np.asarray(self.p_xy, dtype=np.float64)
+        p = _frozen(self.p_xy, np.float64)
         if p.ndim != 2:
             raise DataError("p_xy must be a matrix")
         if (p < 0).any():
             raise DataError("negative probabilities")
         if abs(p.sum() - 1.0) > PROB_ATOL:
             raise DataError("joint probabilities do not sum to 1")
-        p.setflags(write=False)
         object.__setattr__(self, "p_xy", p)
 
     @property

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import AssociationMatrix, JointLike, _as_joint, association_matrix
-from .dataset import Dataset, _resolve_x, joint_from_counts
+from .dataset import Dataset, _frozen, _resolve_x, joint_from_counts
 from .errors import DataError
 
 
@@ -32,9 +32,7 @@ class ConfusionMatrix:
     y_domain: tuple[str, ...]
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "counts", _frozen(self.counts, np.int64))
 
     @property
     def normalized(self) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .association import WeightVector
-from .dataset import Dataset
+from .dataset import Dataset, _frozen
 from .errors import DataError, NumericDomainError
 from .selection import tau_joint
 
@@ -34,9 +34,7 @@ class BootstrapResult:
     seed: int
 
     def __post_init__(self):
-        r = np.asarray(self.replicates, dtype=np.float64)
-        r.setflags(write=False)
-        object.__setattr__(self, "replicates", r)
+        object.__setattr__(self, "replicates", _frozen(self.replicates, np.float64))
 
 
 def stratified_bootstrap(ds: Dataset, strata_var: str,

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from catassoc.association import make_weights
-from catassoc.cli import EXIT_DATA, EXIT_DOMAIN, EXIT_OK, main
+from catassoc.cli import EXIT_DATA, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from catassoc.dataset import read_csv
 from catassoc.fixtures import loan_dataset
 from catassoc.resample import retention_ratio, stratified_bootstrap
@@ -178,6 +178,38 @@ class TestBootstrapCommand:
         assert main(["bootstrap", "-i", str(p), "--stat", "retention",
                      "--response", "Y", "--B", "20", "--seed", "1"]) == EXIT_DOMAIN
         assert capsys.readouterr().err == "error: full-set association degree is zero\n"
+
+
+def _result(out):
+    return json.loads(out)["result"]
+
+
+class TestReportPaths:
+    """One run of each report path the other command tests leave out."""
+
+    @pytest.mark.parametrize("argv, env, code, check", [
+        (["vector", "-i", "loan", "--x", "Age", "--y", "Risk"], {}, EXIT_OK,
+         lambda out, err: out.splitlines()[0].split() == ["low", "med", "hi"]),
+        (["vector", "-i", "loan", "--x", "Age", "--y", "Risk", "--format", "csv"], {},
+         EXIT_OK, lambda out, err: out.splitlines()[0] == "low,med,hi"),
+        (["tau", "-i", "loan", "--x", "Age", "--y", "Risk", "--format", "json"], {},
+         EXIT_OK, lambda out, err: round(_result(out)["tau"], 4) == 0.5137),
+        (["basis", "-i", "loan", "--format", "json"], {}, EXIT_OK,
+         lambda out, err: _result(out)["verified"] is True),
+        (["validate", "-i", "survey", "--x", "X", "--y", "Y", "--seed", "7"], {},
+         EXIT_OK, lambda out, err: out.splitlines()[-1].startswith("max_abs_diff: ")),
+        (["bootstrap", "-i", "loan", "--stat", "tau", "--response", "Risk",
+          "--subset", "Age", "--B", "20", "--n", "100", "--seed", "1"], {}, EXIT_OK,
+         lambda out, err: out.startswith("stat: tau   point: ") and "   n: 100   " in out),
+        (["tau", "-i", "loan", "--x", "Age", "--y", "Risk"], {"CATASSOC_TOL": "abc"},
+         EXIT_USAGE, lambda out, err: out == "" and "CATASSOC_TOL is not a number" in err),
+    ], ids=["vector-text", "vector-csv", "tau-json", "basis-json", "validate-text",
+            "bootstrap-n-text", "env-not-a-number"])
+    def test_exit_code_and_output(self, argv, env, code, check, monkeypatch, capsys):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(argv) == code
+        assert check(*capsys.readouterr())
 
 
 class TestSimulateAndFixtures:

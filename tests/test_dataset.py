@@ -9,10 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catassoc import (
+    AssociationMatrix,
+    AssociationVector,
+    BootstrapResult,
+    ConfusionMatrix,
+    ContingencyTable,
     DataError,
     Dataset,
+    JointDistribution,
     NumericDomainError,
     Variable,
+    WeightVector,
     composite,
     contingency,
     ingest_records,
@@ -232,6 +239,41 @@ class TestToJoint:
         ct = ContingencyTable("A", "B", ("a",), ("u",), np.array([[0]]))
         with pytest.raises(NumericDomainError):
             to_joint(ct)
+
+
+_AB = (Variable("A", ("a", "b")), Variable("B", ("u", "v")))
+
+
+class TestValueTypes:
+    # (build from an array, the stored array) for each immutable value type;
+    # every input below has a dtype other than the stored one.
+    @pytest.mark.parametrize("build, stored, given", [
+        (lambda a: Dataset(_AB, a), lambda v: v.records, np.array([[0, 1], [1, 0]], np.int32)),
+        (lambda a: ContingencyTable("A", "B", ("a", "b"), ("u", "v"), a),
+         lambda v: v.counts, np.array([[1, 2], [3, 4]], np.int32)),
+        (lambda a: JointDistribution(a, ("a", "b"), ("u", "v")),
+         lambda v: v.p_xy, np.full((2, 2), 0.25, np.float32)),
+        (lambda a: AssociationMatrix(a, ("u", "v")), lambda v: v.gamma,
+         np.array([[1, 0], [0, 1]])),
+        (lambda a: AssociationVector(a, ("u", "v")), lambda v: v.theta, np.array([1, 0])),
+        (lambda a: WeightVector(a, False), lambda v: v.alpha, np.array([1, 0])),
+        (lambda a: ConfusionMatrix(a, ("u", "v")), lambda v: v.counts,
+         np.array([[1, 2], [3, 4]], np.int32)),
+        (lambda a: BootstrapResult(0.5, a, 0.0, 1.0, 0.5, 0.95, 0), lambda v: v.replicates,
+         np.array([0, 1], np.int32)),
+    ], ids=["Dataset", "ContingencyTable", "JointDistribution", "AssociationMatrix",
+            "AssociationVector", "WeightVector", "ConfusionMatrix", "BootstrapResult"])
+    def test_stores_a_read_only_copy_of_another_dtype(self, build, stored, given):
+        arr = stored(build(given))
+        assert not arr.flags.writeable
+        assert given.flags.writeable and not np.shares_memory(arr, given)
+        assert (arr == given).all()
+
+    def test_out_of_range_codes_name_the_first_bad_column(self):
+        # columns 2 and 3 are out of range, one above and one below
+        variables = (Variable("C", ("c",)),) + _AB
+        with pytest.raises(DataError, match="out of range for 'A'"):
+            Dataset(variables, [[0, 2, -1]])
 
 
 class TestComposite:

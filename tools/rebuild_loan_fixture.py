@@ -2,7 +2,8 @@
 
 The loan dataset ships as a frozen 650-record CSV under
 ``src/catassoc/data/``.  Only its pairwise frequency tables against Risk
-and Credit are documented; this script searches for a record-level table
+and Credit are documented (``LOAN_TABLES`` and ``LOAN_DOMAINS`` in
+:mod:`catassoc.fixtures`); this script searches for a record-level table
 consistent with all of them and freezes the result.  The procedure:
 
 1. For each of On-Time, Age, Income, solve a small integer 3-way
@@ -23,29 +24,16 @@ Deterministic; run only when the fixture needs regenerating:
 
 import collections
 import sys
+from pathlib import Path
 
 import numpy as np
 
-# Pairwise counts: rows = X categories (canonical order), cols = Y categories.
-RISK_TABLES = {
-    "On-Time": np.array([[11, 2, 52], [306, 24, 255]]),
-    "Age": np.array([[13, 9, 246], [291, 17, 61], [13, 0, 0]]),
-    "Income": np.array([[19, 8, 45], [211, 17, 209], [87, 1, 53]]),
-    "Credit": np.array([[35, 2, 40], [98, 9, 93], [184, 15, 174]]),
-}
-CREDIT_TABLES = {
-    "On-Time": np.array([[19, 30, 16], [58, 170, 357]]),
-    "Age": np.array([[40, 80, 148], [34, 118, 217], [3, 2, 8]]),
-    "Income": np.array([[7, 20, 45], [54, 137, 246], [16, 43, 82]]),
-    "Risk": np.array([[35, 98, 184], [2, 9, 15], [40, 93, 174]]),
-}
-HUB = CREDIT_TABLES["Risk"]  # Risk x Credit
+# This checkout's package, ahead of any other on the path.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from catassoc.fixtures import LOAN_DOMAINS, LOAN_TABLES  # noqa: E402
 
-ONTIME_LABELS = ["No", "Yes"]
-AGE_LABELS = ["young", "med", "sen"]
-INCOME_LABELS = ["low", "mid", "hi"]
-RISK_LABELS = ["low", "med", "hi"]
-CREDIT_LABELS = ["red", "yellow", "green"]
+COLUMNS = ("On-Time", "Age", "Income", "Credit", "Risk")
+HUB = np.array(LOAN_TABLES[("Risk", "Credit")])
 
 
 def ipf3(a, b, hub, iters=3000):
@@ -156,12 +144,15 @@ def canonical_order(records, canon):
 def main():
     sols = {}
     for name in ("On-Time", "Age", "Income"):
-        t = solve_integer_table(RISK_TABLES[name], CREDIT_TABLES[name], HUB)
-        assert (t.sum(2) == RISK_TABLES[name]).all()
-        assert (t.sum(1) == CREDIT_TABLES[name]).all()
+        risk = np.array(LOAN_TABLES[(name, "Risk")])
+        credit = np.array(LOAN_TABLES[(name, "Credit")])
+        t = solve_integer_table(risk, credit, HUB)
+        assert (t.sum(2) == risk).all()
+        assert (t.sum(1) == credit).all()
         assert (t.sum(0) == HUB).all()
         sols[name] = t
 
+    canon = [LOAN_DOMAINS[name] for name in COLUMNS]
     records = []
     for r in range(3):
         for c in range(3):
@@ -173,33 +164,24 @@ def main():
                 per_var.append(vals)
             for i in range(HUB[r, c]):
                 records.append((
-                    ONTIME_LABELS[per_var[0][i]],
-                    AGE_LABELS[per_var[1][i]],
-                    INCOME_LABELS[per_var[2][i]],
-                    CREDIT_LABELS[c],
-                    RISK_LABELS[r],
+                    canon[0][per_var[0][i]],
+                    canon[1][per_var[1][i]],
+                    canon[2][per_var[2][i]],
+                    canon[3][c],
+                    canon[4][r],
                 ))
     assert len(records) == 650
 
-    canon = [ONTIME_LABELS, AGE_LABELS, INCOME_LABELS, CREDIT_LABELS, RISK_LABELS]
     records = canonical_order(records, canon)
 
-    def pair_table(ix, iy, xl, yl):
+    for (x, y), counts in LOAN_TABLES.items():
+        ix, iy = COLUMNS.index(x), COLUMNS.index(y)
         cnt = collections.Counter((rec[ix], rec[iy]) for rec in records)
-        return np.array([[cnt[(a, b)] for b in yl] for a in xl])
-
-    assert (pair_table(0, 4, ONTIME_LABELS, RISK_LABELS) == RISK_TABLES["On-Time"]).all()
-    assert (pair_table(1, 4, AGE_LABELS, RISK_LABELS) == RISK_TABLES["Age"]).all()
-    assert (pair_table(2, 4, INCOME_LABELS, RISK_LABELS) == RISK_TABLES["Income"]).all()
-    assert (pair_table(3, 4, CREDIT_LABELS, RISK_LABELS) == RISK_TABLES["Credit"]).all()
-    assert (pair_table(0, 3, ONTIME_LABELS, CREDIT_LABELS) == CREDIT_TABLES["On-Time"]).all()
-    assert (pair_table(1, 3, AGE_LABELS, CREDIT_LABELS) == CREDIT_TABLES["Age"]).all()
-    assert (pair_table(2, 3, INCOME_LABELS, CREDIT_LABELS) == CREDIT_TABLES["Income"]).all()
-    assert (pair_table(4, 3, RISK_LABELS, CREDIT_LABELS) == CREDIT_TABLES["Risk"]).all()
+        assert [[cnt[(a, b)] for b in LOAN_DOMAINS[y]] for a in LOAN_DOMAINS[x]] == counts
 
     out = "src/catassoc/data/loan.csv"
     with open(out, "w", encoding="utf-8") as f:
-        f.write("On-Time,Age,Income,Credit,Risk\n")
+        f.write(",".join(COLUMNS) + "\n")
         for rec in records:
             f.write(",".join(rec) + "\n")
     print(f"wrote {out} ({len(records)} records)")
