@@ -56,7 +56,7 @@ from .predict import (
     proportional_predict,
     split_validate,
 )
-from .resample import BootstrapResult, retention_ratio, stratified_bootstrap
+from .resample import BootstrapResult, count_bootstrap, retention_ratio, stratified_bootstrap
 from .selection import (
     ForwardStep,
     SelectionTrace,
@@ -84,11 +84,11 @@ __all__ = [
     "NumericDomainError", "SelectionTrace", "ValidationResult", "Variable",
     "WeightVector", "WeightedPopulation", "add_independent_noise",
     "association_matrix", "association_vector", "composite", "contingency",
-    "e2prime", "ep", "equivalence_levels", "first_pick_tiebreak", "gen_flu",
-    "gini", "gk_tau_direct", "ingest_records", "joint_from_counts",
-    "make_weights", "minimal_basis", "population_joint_flu",
-    "proportional_predict", "read_csv", "retention_ratio", "sample_joint",
-    "select_basis", "split_validate", "stratified_bootstrap",
-    "structural_basis", "tau", "tau_joint", "tau_scheme", "to_joint",
-    "verify_basis", "y_marginal",
+    "count_bootstrap", "e2prime", "ep", "equivalence_levels",
+    "first_pick_tiebreak", "gen_flu", "gini", "gk_tau_direct",
+    "ingest_records", "joint_from_counts", "make_weights", "minimal_basis",
+    "population_joint_flu", "proportional_predict", "read_csv",
+    "retention_ratio", "sample_joint", "select_basis", "split_validate",
+    "stratified_bootstrap", "structural_basis", "tau", "tau_joint",
+    "tau_scheme", "to_joint", "verify_basis", "y_marginal",
 ]

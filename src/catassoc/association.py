@@ -63,7 +63,8 @@ class AssociationVector:
     """Per-category accuracy lift of predicting with X over the Y marginal.
 
     Components live in [0, 1]: 0 when the category is independent of X,
-    1 when X determines membership in the category exactly.
+    1 when X determines membership in the category exactly.  The vectors
+    of several bootstrap replicates may be stacked along leading axes.
     """
 
     theta: np.ndarray
@@ -74,7 +75,7 @@ class AssociationVector:
 
     @property
     def n_y(self) -> int:
-        return self.theta.shape[0]
+        return self.theta.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -206,11 +207,16 @@ def make_weights(scheme: str, p_y=None, custom=None) -> WeightVector:
     return WeightVector(a, True)
 
 
-def tau(theta: AssociationVector, alpha: WeightVector) -> float:
-    """Weighted global association degree: alpha-weighted mean of the lifts."""
-    if alpha.alpha.shape != theta.theta.shape:
+def tau(theta: AssociationVector, alpha: WeightVector):
+    """Weighted global association degree: alpha-weighted mean of the lifts.
+
+    A float; an array of one degree per row when ``theta`` stacks the
+    vectors of several replicates along leading axes."""
+    if alpha.alpha.shape != theta.theta.shape[-1:]:
         raise DataError("weight vector length does not match response categories")
-    return float(alpha.alpha @ theta.theta)
+    # a row-by-column product per row: each sums as the 1-D dot does
+    value = (theta.theta[..., None, :] @ alpha.alpha[:, None])[..., 0, 0]
+    return float(value) if value.ndim == 0 else value
 
 
 def tau_scheme(j: JointLike, scheme: str = "gk", custom=None) -> float:
@@ -237,21 +243,41 @@ def gk_tau_direct(j: JointLike) -> float:
     return (cond_ep - ep_y) / (1.0 - ep_y)
 
 
+def _group_sum(w: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Float sums of ``w`` by ``groups``, one group index per entry of its
+    last axis, per row of a 2-D ``w``; each sum adds its entries in order."""
+    if w.ndim == 1:
+        return np.bincount(groups, w, minlength=n_groups)
+    rows = len(w)
+    keys = (np.arange(rows)[:, None] * n_groups + groups).ravel()
+    return np.bincount(keys, w.ravel(), minlength=rows * n_groups).reshape(rows, n_groups)
+
+
 def _pair_tau(pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
-              y_domain: tuple[str, ...], weights: WeightVector) -> float:
+              y_domain: tuple[str, ...], weights: WeightVector):
     """:func:`tau` from the observed pairs of ``dataset._pair_counts``, with the
-    errors of :func:`association_vector`; a determined category's lift is 1."""
+    errors of :func:`association_vector`; a determined category's lift is 1,
+    and one observed cell leaves every lift exactly 0.
+
+    ``n_is`` and ``n_i`` may carry a leading replicate axis over the same
+    pairs, whose response codes are ``s``; one degree per replicate is then
+    returned.  A pair a replicate leaves empty needs a positive ``n_i``."""
     n_is, n_i, s = pairs
-    n_s = np.bincount(s, n_is, minlength=len(y_domain))
+    n_s = _group_sum(n_is, s, len(y_domain))
     if not n_s.all():
         raise NumericDomainError(
             "response has a zero-probability category; drop unused categories first"
         )
     if len(y_domain) < 2:  # otherwise every category holds fewer than all records
         raise NumericDomainError("response is constant; association vector undefined")
-    p_y = n_s / n_is.sum()
-    gamma_ss = np.bincount(s, n_is * (n_is / n_i), minlength=len(y_domain)) / n_s
-    return tau(AssociationVector((gamma_ss - p_y) / (1.0 - p_y), y_domain), weights)
+    n = n_is.sum(axis=-1, keepdims=True)
+    p_y = n_s / n
+    gamma_ss = _group_sum(n_is * (n_is / n_i), s, len(y_domain)) / n_s
+    theta = (gamma_ss - p_y) / (1.0 - p_y)
+    one_cell = n_i.max(axis=-1) == n[..., 0]  # gamma_ss is p_y, up to rounding
+    if one_cell.any():
+        theta[one_cell] = 0.0
+    return tau(AssociationVector(theta, y_domain), weights)
 
 
 def _determination(cells: np.ndarray, target: np.ndarray,

@@ -29,13 +29,12 @@ import numpy as np
 from . import report as rep
 from .association import association_matrix, association_vector, make_weights
 from .basis import minimal_basis, structural_basis, verify_basis
-from .dataset import (Dataset, Variable, _decode, composite, contingency, read_csv,
-                      to_joint)
+from .dataset import Dataset, _decode, contingency, read_csv, to_joint
 from .equivalence import equivalence_levels
 from .errors import DataError, NumericDomainError
 from .fixtures import FIXTURES, fixture
 from .predict import split_validate
-from .resample import _degree_ratio, retention_ratio, stratified_bootstrap
+from .resample import count_bootstrap
 from .selection import SelectionTrace, select_basis, tau_joint, y_marginal
 from .simgen import gen_flu
 
@@ -254,49 +253,19 @@ def _cmd_validate(cfg: RunConfig) -> str:
             f"   skipped_unseen: {res.skipped_unseen}")
 
 
-def _composite_columns(ds: Dataset, y: str,
-                       sets: list[list[str]]) -> tuple[Dataset, list[list[str]]]:
-    """The response and one column per variable set holding its composite,
-    and the one-name set that stands for each variable set there.
-
-    A resample of these columns scores as the same resample of ``ds``: the
-    cells keep their sorted order, and counting drops the cells the
-    resample leaves empty.
-    """
-    comps = [composite(ds, s) for s in sets]
-    names = [f"{y}~{i}" for i in range(len(comps))]  # longer than y, so distinct
-    coded = Dataset([ds.var(y)] + [Variable(nm, c.domain) for nm, c in zip(names, comps)],
-                    np.column_stack([ds.codes(y)] + [c.codes for c in comps]))
-    return coded, [[nm] for nm in names]
-
-
 def _cmd_bootstrap(cfg: RunConfig) -> str:
     ds = _load(cfg)
     if cfg.n is not None and cfg.n < ds.n_records:
         rng = np.random.default_rng(cfg.seed)
         ds = ds.take(rng.choice(ds.n_records, size=cfg.n, replace=False))
     explanatory = [nm for nm in ds.names if nm != cfg.y]
-    fullset = cfg.subset if cfg.stat == "tau" and cfg.subset else explanatory
-    weights = _weights_for(cfg, y_marginal(ds, cfg.y))
-
-    # The statistic checks its variable sets once, by name; the replicates
-    # then count resampled codes of each set's composite, encoded once.
     if cfg.stat == "retention":
-        subset = cfg.subset or explanatory
-        retention_ratio(ds, cfg.y, subset, explanatory, alpha=weights)
-        coded, (full, sub) = _composite_columns(ds, cfg.y, [explanatory, subset])
-
-        def stat(d):
-            return _degree_ratio(d, cfg.y, sub, full, weights)
+        fullset, subset = explanatory, cfg.subset or explanatory
     else:
-        tau_joint(ds, cfg.y, fullset, alpha=weights)
-        coded, (full,) = _composite_columns(ds, cfg.y, [fullset])
-
-        def stat(d):
-            return tau_joint(d, cfg.y, full, alpha=weights)
-
-    res = stratified_bootstrap(coded, cfg.y, stat, B=cfg.B,
-                               level=cfg.level, seed=cfg.seed)
+        fullset, subset = cfg.subset or explanatory, None
+    res = count_bootstrap(ds, cfg.y, fullset, subset,
+                          alpha=_weights_for(cfg, y_marginal(ds, cfg.y)),
+                          B=cfg.B, level=cfg.level, seed=cfg.seed)
     result = {
         "stat": cfg.stat,
         "point": res.point,

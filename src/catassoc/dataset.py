@@ -152,11 +152,17 @@ class Dataset:
         return np.asarray(v.domain, dtype=object)[self.codes(name)]
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """New dataset from a record subset; domains are kept unchanged."""
+        """New dataset from a record subset; domains are kept unchanged.
+        Codes of checked records stay in range, so they are not re-checked."""
         indices = np.asarray(indices)
         if indices.size == 0:
             raise DataError("record subset is empty")
-        return Dataset(self._variables, self._records[indices])
+        records = _frozen(self._records[indices], np.int64, order="F")
+        if records.ndim != 2 or records.shape[0] < 1:
+            raise DataError("record subset is empty or not one-dimensional")
+        sub = object.__new__(Dataset)
+        sub._variables, sub._records, sub._index = self._variables, records, self._index
+        return sub
 
     @classmethod
     def from_label_columns(cls, columns: dict[str, Sequence[str]],

@@ -3,22 +3,36 @@
 Each replicate resamples records with replacement *within* each stratum,
 preserving stratum sizes exactly; with the response as the stratifying
 variable this keeps every response category present in every replicate.
-Intervals use the percentile method.  Replicate b draws from the b-th
-child seed of the caller's seed, so results are deterministic given
-(seed, B, dataset order), and replicate b is the same for every B > b.
+Intervals use the percentile method.
+
+:func:`stratified_bootstrap` draws records for any statistic; replicate b
+draws from the b-th child seed of the caller's seed.  :func:`count_bootstrap`,
+which the ``bootstrap`` command runs, draws the same resamples at count
+level for the degree of a variable set or a subset's retention of it: a
+stratum's resample is one multinomial draw over its observed (full-set
+cell, response) pairs.  Its replicates differ from
+:func:`stratified_bootstrap`'s for the same seed.  Either way results are
+deterministic given (seed, dataset), and the first b replicates are the
+same for every B >= b.  :func:`count_bootstrap` draws at most ``_CHUNK``
+counts (or one replicate) at once, so a chunk's memory is bounded by
+the pair count, not by B; a replicate in which the full set has zero association
+raises :class:`NumericDomainError` (CLI exit 4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .association import WeightVector
-from .dataset import Dataset, _frozen
+from .association import WeightVector, _group_sum, _pair_tau
+from .dataset import Dataset, _frozen, composite
 from .errors import DataError, NumericDomainError
-from .selection import tau_joint
+from .selection import _resolve_weights, tau_joint
+
+#: Largest number of (replicate, pair) counts drawn at once.
+_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -37,6 +51,19 @@ class BootstrapResult:
         object.__setattr__(self, "replicates", _frozen(self.replicates, np.float64))
 
 
+def _check_draws(B: int, level: float) -> None:
+    if B < 1:
+        raise DataError("B must be at least 1")
+    if not 0.0 < level < 1.0:
+        raise DataError("level must be strictly between 0 and 1")
+
+
+def _percentile(point: float, reps: np.ndarray, level: float, seed: int) -> BootstrapResult:
+    lo, hi = np.quantile(reps, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+    return BootstrapResult(point, reps, float(lo), float(hi),
+                           float(reps.mean()), level, seed)
+
+
 def stratified_bootstrap(ds: Dataset, strata_var: str,
                          stat: Callable[[Dataset], float],
                          B: int, level: float = 0.95,
@@ -47,10 +74,7 @@ def stratified_bootstrap(ds: Dataset, strata_var: str,
     each stratum, as many records (with replacement) as the stratum
     holds.  ``B`` replicates, two-sided percentile interval at ``level``.
     """
-    if B < 1:
-        raise DataError("B must be at least 1")
-    if not 0.0 < level < 1.0:
-        raise DataError("level must be strictly between 0 and 1")
+    _check_draws(B, level)
     codes = ds.codes(strata_var)
     strata = [np.flatnonzero(codes == k) for k in range(ds.var(strata_var).size)]
     if any(s.size == 0 for s in strata):
@@ -63,10 +87,64 @@ def stratified_bootstrap(ds: Dataset, strata_var: str,
         rng = np.random.default_rng(children[b])
         parts = [s[rng.integers(0, s.size, s.size)] for s in strata]
         reps[b] = stat(ds.take(np.concatenate(parts)))
+    return _percentile(point, reps, level, seed)
 
-    lo, hi = np.quantile(reps, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
-    return BootstrapResult(point, reps, float(lo), float(hi),
-                           float(reps.mean()), level, seed)
+
+def _pair_draws(n_is: np.ndarray, s: np.ndarray, n_y: int, B: int,
+                seed: int) -> Iterator[np.ndarray]:
+    """``B`` stratified resamples of the observed pairs with counts ``n_is``
+    and response codes ``s``, as (replicates, pairs) count chunks.  Chunk k
+    draws from child k of ``seed`` and each stratum from its own child of
+    that, so a replicate does not depend on ``B``."""
+    per_chunk = max(1, _CHUNK // n_is.size)
+    strata = [np.flatnonzero(s == k) for k in range(n_y)]
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(-(-B // per_chunk))):
+        counts = np.empty((min(per_chunk, B - k * per_chunk), n_is.size), np.int64)
+        for pairs, stream in zip(strata, child.spawn(n_y)):
+            n_s = n_is[pairs].sum()
+            counts[:, pairs] = np.random.default_rng(stream).multinomial(
+                n_s, n_is[pairs] / n_s, size=len(counts))
+        yield counts
+
+
+def count_bootstrap(ds: Dataset, y: str, fullset: Sequence[str],
+                    subset: Sequence[str] | None = None,
+                    alpha: WeightVector | str | None = None, B: int = 1000,
+                    level: float = 0.95, seed: int = 0) -> BootstrapResult:
+    """Percentile bootstrap, within response strata, of ``tau_joint(ds, y,
+    fullset)`` or, given ``subset``, of ``retention_ratio(ds, y, subset,
+    fullset)``.  The statistic's errors come first, then those of ``B`` and
+    ``level``.  Each set is encoded once, and its pairs in each replicate
+    are sums of the full set's pair counts."""
+    sets = [[fullset] if isinstance(fullset, str) else list(fullset)]
+    if subset is None:
+        point = tau_joint(ds, y, sets[0], alpha=alpha)
+    else:
+        sets.append([subset] if isinstance(subset, str) else list(subset))
+        point = retention_ratio(ds, y, sets[1], sets[0], alpha=alpha)
+    _check_draws(B, level)
+    weights, y_domain = _resolve_weights(ds, y, alpha), ds.var(y).domain
+    n_y = len(y_domain)
+    comps = [composite(ds, names) for names in sets]
+    keys, first, n_is = np.unique(comps[0].codes * n_y + ds.codes(y),
+                                  return_index=True, return_counts=True)
+    s = keys % n_y
+    # Each set's pairs in key order, and the one holding each full-set pair.
+    groups = [np.unique(c.codes[first] * n_y + s, return_inverse=True) for c in comps]
+    degrees = np.empty((len(comps), B))
+    done = 0
+    for counts in _pair_draws(n_is, s, n_y, B, seed):
+        for (set_keys, holder), out in zip(groups, degrees):
+            cells, set_s = np.divmod(set_keys, n_y)
+            c_is = _group_sum(counts, holder, set_keys.size)
+            c_i = np.maximum(_group_sum(c_is, cells, cells[-1] + 1), 1)[:, cells]
+            out[done:done + len(counts)] = _pair_tau((c_is, c_i, set_s), y_domain, weights)
+        done += len(counts)
+    if subset is None:
+        return _percentile(point, degrees[0], level, seed)
+    if (degrees[0] <= 0).any():
+        raise NumericDomainError("full-set association degree is zero")
+    return _percentile(point, degrees[1] / degrees[0], level, seed)
 
 
 def retention_ratio(ds: Dataset, y: str, subset: Sequence[str],
@@ -82,13 +160,6 @@ def retention_ratio(ds: Dataset, y: str, subset: Sequence[str],
     fullset = [fullset] if isinstance(fullset, str) else list(fullset)
     if not set(subset) <= set(fullset):
         raise DataError("subset must be contained in fullset")
-    return _degree_ratio(ds, y, subset, fullset, alpha)
-
-
-def _degree_ratio(ds: Dataset, y: str, subset: Sequence[str],
-                  fullset: Sequence[str], alpha: WeightVector | str | None) -> float:
-    """:func:`retention_ratio` without its check that ``fullset`` holds
-    ``subset``."""
     denom = tau_joint(ds, y, fullset, alpha=alpha)
     if denom <= 0:
         raise NumericDomainError("full-set association degree is zero")

@@ -325,6 +325,35 @@ class TestPairKernel:
             w = make_weights(scheme, p_y=table.sum(axis=0) / table.sum())
             assert _pair_tau(table_pairs(table), ("a", "b", "c"), w) == float(w.alpha @ np.ones(3))
 
+    @given(st.integers(1, 6), st.integers(2, 4), st.integers(1, 8), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_replicate_axis_scores_each_row_as_its_own_pairs(self, n_x, n_y, reps, seed):
+        # Rows of pair counts over the cells of one table, with pairs and
+        # whole cells left empty; each row scores bitwise as its nonzero pairs.
+        rng = np.random.default_rng(seed)
+        cells, s = np.divmod(np.arange(n_x * n_y), n_y)
+        n_is = rng.integers(0, 4, (reps, n_x * n_y)) * (rng.random((reps, n_x * n_y)) < 0.6)
+        n_is[:, :n_y] += 1  # every category observed in every row
+        n_i = np.stack([np.bincount(cells, row, n_x)[cells] for row in n_is])
+        w = make_weights("custom", custom=rng.random(n_y) + 0.1)
+        y_domain = tuple(map(str, range(n_y)))
+        batch = _pair_tau((n_is, np.maximum(n_i, 1), s), y_domain, w)
+        assert batch.shape == (reps,)
+        for row, value in zip(n_is, batch):
+            seen = row > 0
+            table = np.bincount(cells[seen] * n_y + s[seen], row[seen], n_x * n_y)
+            assert value == _pair_tau(table_pairs(table.reshape(n_x, n_y).astype(np.int64)),
+                                      y_domain, w)
+
+    @pytest.mark.parametrize("scheme", ["gk", "ew", "ipw"])
+    def test_one_observed_cell_scores_exactly_zero(self, scheme):
+        # every one-row table of two categories and fewer than 60 records
+        for n in range(2, 60):
+            for k in range(1, n):
+                table = np.array([[n - k, k]])
+                w = make_weights(scheme, p_y=table[0] / n)
+                assert _pair_tau(table_pairs(table), ("u", "v"), w) == 0.0, (n, k)
+
     @pytest.mark.parametrize("counts, alpha", [
         ([[2, 0], [3, 0]], [0.5, 0.5]),         # a category never observed
         ([[2], [3]], [1.0]),                    # constant response

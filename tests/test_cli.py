@@ -3,15 +3,17 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from catassoc.association import make_weights
 from catassoc.cli import EXIT_DATA, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from catassoc.dataset import read_csv
+from catassoc.dataset import composite, read_csv
 from catassoc.fixtures import loan_dataset
-from catassoc.resample import retention_ratio, stratified_bootstrap
+from catassoc.resample import (_pair_draws, count_bootstrap, retention_ratio,
+                               stratified_bootstrap)
 from catassoc.selection import tau_joint, y_marginal
 
 
@@ -148,8 +150,10 @@ class TestBootstrapCommand:
         ("retention", None, "ew"), ("tau", "X2,X1", "gk"), ("tau", None, "ipw")])
     def test_matches_bootstrap_by_variable_names(self, stat, subset, weights,
                                                  tmp_path, capsys):
-        # The command encodes each variable set once; every replicate must
-        # score as the statistic computed from the resampled variables.
+        # The command draws replicates as pair counts of the full-set
+        # composite.  Its point is the statistic by names, each replicate
+        # scores bitwise as the statistic of the records its counts stand
+        # for, and its replicate distribution is the record-level one.
         flu = tmp_path / "flu.csv"
         assert main(["simulate", "flu", "--n", "300", "--seed", "4",
                      "--out", str(flu)]) == EXIT_OK
@@ -158,18 +162,43 @@ class TestBootstrapCommand:
         sub = subset.split(",") if subset else explanatory
         alpha = make_weights(weights, p_y=y_marginal(ds, "Y"))
         if stat == "retention":
+            full = explanatory
+
             def by_names(d):
                 return retention_ratio(d, "Y", sub, explanatory, alpha=alpha)
         else:
+            full, sub = sub, None
+
             def by_names(d):
-                return tau_joint(d, "Y", sub, alpha=alpha)
-        ref = stratified_bootstrap(ds, "Y", by_names, B=120, seed=8)
-        assert main(["bootstrap", "-i", str(flu), "--stat", stat, "--response", "Y",
-                     "--B", "120", "--seed", "8", "--weights", weights, "--format", "json"]
-                    + (["--subset", subset] if subset else [])) == EXIT_OK
-        got = json.loads(capsys.readouterr().out)["result"]
-        assert (got["point"], got["mean"], got["ci_low"], got["ci_high"]) == \
-            (ref.point, ref.mean, ref.ci_low, ref.ci_high)
+                return tau_joint(d, "Y", full, alpha=alpha)
+
+        def cli(B):
+            assert main(["bootstrap", "-i", str(flu), "--stat", stat, "--response", "Y",
+                         "--B", str(B), "--seed", "8", "--weights", weights,
+                         "--format", "json"]
+                        + (["--subset", subset] if subset else [])) == EXIT_OK
+            return json.loads(capsys.readouterr().out)["result"]
+
+        got = cli(120)
+        lib = count_bootstrap(ds, "Y", full, sub, alpha=alpha, B=120, seed=8)
+        assert got["point"] == by_names(ds) == lib.point
+        assert (got["mean"], got["ci_low"], got["ci_high"]) == (lib.mean, lib.ci_low,
+                                                                lib.ci_high)
+        expected = [by_names(d) for d in _count_replicates(ds, "Y", full, 120, 8)]
+        assert lib.replicates.tolist() == expected
+
+        got = cli(2000)
+        ref = stratified_bootstrap(ds, "Y", by_names, B=2000, seed=8).replicates
+        assert _within_six_standard_errors(got, ref, 2000)
+
+    def test_same_seed_same_bytes(self, tmp_path):
+        out, runs = tmp_path / "run.json", []
+        for _ in range(2):
+            assert main(["bootstrap", "-i", "loan", "--stat", "retention",
+                         "--response", "Risk", "--subset", "Age", "--B", "3000",
+                         "--seed", "5", "--format", "json", "--out", str(out)]) == EXIT_OK
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1]
 
     def test_replicate_without_association_exit_code(self, tmp_path, capsys):
         # A replicate that misses the one "d" record has a constant X.
@@ -178,6 +207,35 @@ class TestBootstrapCommand:
         assert main(["bootstrap", "-i", str(p), "--stat", "retention",
                      "--response", "Y", "--B", "20", "--seed", "1"]) == EXIT_DOMAIN
         assert capsys.readouterr().err == "error: full-set association degree is zero\n"
+
+
+def _count_replicates(ds, y, fullset, B, seed):
+    """The record sets the count-level replicates stand for: each observed
+    (full-set cell, response) pair's first record, repeated as often as the
+    replicate counts the pair."""
+    n_y = ds.var(y).size
+    keys = composite(ds, fullset).codes * n_y + ds.codes(y)
+    _, first, n_is = np.unique(keys, return_index=True, return_counts=True)
+    for counts in _pair_draws(n_is, ds.codes(y)[first], n_y, B, seed):
+        for row in counts:
+            yield ds.take(np.repeat(first, row))
+
+
+def _within_six_standard_errors(result, ref, B, level=0.95):
+    """Whether a report's replicate mean and interval ends are those of the
+    reference replicates ``ref`` within six standard errors of two
+    independent samples, by the benchmark oracle's rule.  An end that ties
+    reference replicates may sit anywhere in their quantile range."""
+    inv_n = 1.0 / B + 1.0 / ref.size
+    if abs(result["mean"] - ref.mean()) > 6 * ref.std() * np.sqrt(inv_n):
+        return False
+    tail = (1.0 - level) / 2.0
+    for q, v in ((tail, result["ci_low"]), (1.0 - tail, result["ci_high"])):
+        below, upto = np.mean(ref < v), np.mean(ref <= v)
+        if not below - 6 * np.sqrt(q * (1.0 - q) * inv_n) <= q <= \
+                upto + 6 * np.sqrt(q * (1.0 - q) * inv_n):
+            return False
+    return True
 
 
 def _result(out):

@@ -337,6 +337,32 @@ class TestCompositeAgainstUnique:
         assert ds.records.tolist() == records.tolist()
 
 
+class TestTake:
+    """take skips the range check of a new Dataset: a row subset of checked
+    records cannot break it.  Everything else must be what the constructor
+    gives the same rows."""
+
+    @given(coded_datasets(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_constructor(self, ds, data):
+        idx = np.array(data.draw(st.lists(st.integers(0, ds.n_records - 1),
+                                          min_size=1, max_size=60)))
+        got, ref = ds.take(idx), Dataset(ds.variables, ds.records[idx])
+        assert got.records.dtype == ref.records.dtype == np.int64
+        assert got.records.flags.f_contiguous and not got.records.flags.writeable
+        assert got.records.tolist() == ref.records.tolist()
+        assert got.variables == ref.variables and got.names == ref.names
+        assert [got.position(nm) for nm in got.names] == list(range(len(got.names)))
+        assert all((got.codes(nm) == ref.codes(nm)).all() for nm in got.names)
+
+    def test_mask_and_empty_subsets(self):
+        ds = Dataset(_AB, [[0, 1], [1, 0], [1, 1]])
+        assert ds.take(np.array([True, False, True])).records.tolist() == [[0, 1], [1, 1]]
+        for empty in ([], np.zeros(3, bool)):
+            with pytest.raises(DataError, match="record subset is empty"):
+                ds.take(empty)
+
+
 class TestPairCountsAgainstUnique:
     """The pair counter behind every score: np.unique over the stacked
     (key, response) rows is the reference for the order and counts of the

@@ -1,15 +1,23 @@
 """Stratified bootstrap and the retention-ratio statistic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from catassoc import (
     DataError,
+    Dataset,
     NumericDomainError,
+    Variable,
+    count_bootstrap,
     gen_flu,
     retention_ratio,
     stratified_bootstrap,
+    tau_joint,
 )
+from catassoc import resample
+from catassoc.cli import EXIT_DOMAIN, main
 
 from conftest import random_dataset
 
@@ -96,3 +104,105 @@ class TestRetentionRatio:
         # A is exactly balanced within each Y level: zero association
         with pytest.raises(NumericDomainError):
             retention_ratio(ds, "Y", ["A"], ["A"])
+
+
+FLU_FULL = ["X1", "X2", "R3", "R4", "S5"]
+
+
+class TestCountBootstrap:
+    def test_deterministic_given_seed(self):
+        ds = gen_flu(400, seed=11)
+        a = count_bootstrap(ds, "Y", FLU_FULL, ["X1"], B=300, seed=4)
+        b = count_bootstrap(ds, "Y", FLU_FULL, ["X1"], B=300, seed=4)
+        c = count_bootstrap(ds, "Y", FLU_FULL, ["X1"], B=300, seed=5)
+        assert a.replicates.tobytes() == b.replicates.tobytes()
+        assert (a.point, a.mean, a.ci_low, a.ci_high) == (b.point, b.mean, b.ci_low, b.ci_high)
+        assert not (a.replicates == c.replicates).all()
+
+    @pytest.mark.parametrize("chunk", [resample._CHUNK, 200])
+    def test_first_replicates_do_not_depend_on_B(self, chunk, monkeypatch):
+        # 200 counts a chunk makes a chunk a few replicates of this table.
+        monkeypatch.setattr(resample, "_CHUNK", chunk)
+        ds = gen_flu(400, seed=12)
+        longest = count_bootstrap(ds, "Y", FLU_FULL, ["X1", "X2"], B=5000, seed=6).replicates
+        for B in (1, 7, 333, 1500, 4999):
+            reps = count_bootstrap(ds, "Y", FLU_FULL, ["X1", "X2"], B=B, seed=6).replicates
+            assert reps.tobytes() == longest[:B].tobytes()
+
+    def test_strata_keep_their_sizes_and_draw_independently(self):
+        # Both strata hold the same pair counts, so equal streams would give
+        # equal draws.
+        n_is, s = np.array([3, 3, 5, 5, 1, 1]), np.array([0, 1, 0, 1, 0, 1])
+        chunks = list(resample._pair_draws(n_is, s, 2, 3000, seed=2))
+        counts = np.concatenate(chunks)
+        assert len(chunks) == 1 and counts.shape == (3000, 6)
+        assert (counts[:, s == 0].sum(axis=1) == 9).all()
+        assert (counts[:, s == 1].sum(axis=1) == 9).all()
+        assert (counts[:, s == 0] != counts[:, s == 1]).any(axis=1).mean() > 0.5
+
+    def test_statistic_errors_come_first(self):
+        ds = gen_flu(200, seed=13)
+        with pytest.raises(DataError, match="subset must be contained"):
+            count_bootstrap(ds, "Y", ["X1"], ["X2"], B=0, seed=0)
+        with pytest.raises(DataError, match="unknown variable"):
+            count_bootstrap(ds, "Y", ["Q"], B=0, seed=0)
+        with pytest.raises(DataError, match="B must be at least 1"):
+            count_bootstrap(ds, "Y", FLU_FULL, B=0, level=2.0, seed=0)
+        with pytest.raises(DataError, match="level must be strictly"):
+            count_bootstrap(ds, "Y", FLU_FULL, B=5, level=1.0, seed=0)
+
+    def test_replicate_with_zero_full_degree_rejected(self):
+        # A replicate that misses the one "d" record has a constant X.
+        ds = Dataset.from_label_columns({"X": ["c"] * 10 + ["d"],
+                                         "Y": ["a", "b"] * 5 + ["a"]})
+        with pytest.raises(NumericDomainError, match="full-set association degree is zero"):
+            count_bootstrap(ds, "Y", ["X"], ["X"], B=20, seed=1)
+        assert count_bootstrap(ds, "Y", ["X"], B=20, seed=1).ci_low == 0.0
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # 20,000 records in 20,000 full-set cells: one (replicates x pairs)
+        # array of all 200 replicates would take 32 MB.
+        rng = np.random.default_rng(14)
+        m = 20_000
+        z, y = rng.integers(0, 5, m), rng.integers(0, 3, m)
+        ds = Dataset([Variable("ID", tuple(map(str, range(m)))),
+                      Variable("Z", tuple("abcde")), Variable("Y", ("u", "v", "w"))],
+                     np.stack([np.arange(m), z, (y + z) % 3], 1))
+        tracemalloc.start()
+        try:
+            res = count_bootstrap(ds, "Y", ["ID", "Z"], ["Z"], B=200, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.replicates.shape == (200,)
+        assert peak < 12 * 2**20, peak
+
+
+# Every table whose one explanatory variable is constant, with two response
+# categories and fewer than 60 records.
+ONE_CELL = [(n, k) for n in range(2, 60) for k in range(1, n)]
+
+
+def _one_cell(n, k):
+    return Dataset.from_label_columns({"X": ["x"] * n, "Y": ["u"] * (n - k) + ["v"] * k})
+
+
+class TestOneCellComposite:
+    """One observed cell carries no association: tau is exactly 0, not a
+    rounding residue of either sign, so a retention over it is undefined."""
+
+    def test_tau_is_exactly_zero_and_retention_undefined(self):
+        for n, k in ONE_CELL:
+            ds = _one_cell(n, k)
+            for scheme in ("gk", "ew", "ipw"):
+                assert tau_joint(ds, "Y", ["X"], alpha=scheme) == 0.0, (n, k, scheme)
+            with pytest.raises(NumericDomainError, match="degree is zero"):
+                retention_ratio(ds, "Y", ["X"], ["X"])
+
+    def test_bootstrap_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "one_cell.csv"
+        for n, k in ONE_CELL[:171]:  # the tables of fewer than 20 records
+            path.write_text("X,Y\n" + "x,u\n" * (n - k) + "x,v\n" * k, encoding="utf-8")
+            assert main(["bootstrap", "-i", str(path), "--stat", "retention",
+                         "--response", "Y", "--B", "5", "--seed", "1"]) == EXIT_DOMAIN, (n, k)
+            assert capsys.readouterr().err == "error: full-set association degree is zero\n"
