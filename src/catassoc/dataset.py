@@ -79,11 +79,19 @@ class CompositeVariable:
 
 
 def _frozen(a, dtype, order: str = "K") -> np.ndarray:
-    """Read-only ``a`` of ``dtype`` in ``order``, for value types to check, then
-    store.  An input already of that dtype and layout is frozen in place, not copied."""
+    """Read-only ``a`` of ``dtype`` in ``order``, for value types to store once
+    checked.  An input already of that dtype and layout is frozen in place, not
+    copied, so check it before freezing: a rejected input stays writeable."""
     a = np.asarray(a, dtype=dtype, order=order)
     a.setflags(write=False)
     return a
+
+
+def _code_dtype(sizes: Iterable[int]) -> np.dtype:
+    """Narrowest unsigned dtype holding every code below the largest of the
+    domain ``sizes``: uint8 up to 256 categories, uint16 up to 65,536,
+    uint32 above."""
+    return np.min_scalar_type(max(sizes, default=1) - 1)
 
 
 class Dataset:
@@ -94,14 +102,19 @@ class Dataset:
     variables : sequence of Variable
         Column definitions; order fixes the column order of ``records``.
     records : ndarray of shape (m, n)
-        Dense category codes; ``records[i, j]`` indexes into
+        Dense integer category codes; ``records[i, j]`` indexes into
         ``variables[j].domain``.  Stored column-major, so each variable's
-        code column is contiguous.
+        code column is contiguous, in the narrowest unsigned dtype that
+        holds codes below the largest domain size (uint8 up to 256
+        categories, uint16 up to 65,536, uint32 above).  An input already
+        of that dtype and layout is stored without a copy.  Numpy keeps
+        ``uint8 * int`` as uint8 and wraps it around, so arithmetic on the
+        codes must widen them first (``astype(np.int64)``).
     """
 
     def __init__(self, variables: Sequence[Variable], records: np.ndarray):
         variables = tuple(variables)
-        records = _frozen(records, np.int64, order="F")
+        records = np.asarray(records)
         if records.ndim != 2 or records.shape[1] != len(variables):
             raise DataError("records shape does not match variable count")
         if records.shape[0] < 1:
@@ -109,12 +122,15 @@ class Dataset:
         names = [v.name for v in variables]
         if len(set(names)) != len(names):
             raise DataError("duplicate variable names")
-        sizes = np.array([v.size for v in variables])
+        if records.dtype.kind not in "iu":
+            raise DataError(f"record codes must be integers, not {records.dtype}")
+        # Checked at the input's own dtype: narrowed first, -1 would pass as 255.
+        sizes = [v.size for v in variables]
         bad = np.flatnonzero((records.min(axis=0) < 0) | (records.max(axis=0) >= sizes))
         if bad.size:
             raise DataError(f"record codes out of range for {names[bad[0]]!r}")
         self._variables = variables
-        self._records = records
+        self._records = _frozen(records, _code_dtype(sizes), order="F")
         self._index = {v.name: j for j, v in enumerate(variables)}
 
     @property
@@ -143,7 +159,8 @@ class Dataset:
         return self._index[name]
 
     def codes(self, name: str) -> np.ndarray:
-        """Dense code column for one variable."""
+        """Dense code column for one variable, in the stored unsigned dtype
+        of ``records``: widen it (``astype(np.int64)``) before arithmetic."""
         return self._records[:, self.position(name)]
 
     def labels(self, name: str) -> np.ndarray:
@@ -152,12 +169,13 @@ class Dataset:
         return np.asarray(v.domain, dtype=object)[self.codes(name)]
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """New dataset from a record subset; domains are kept unchanged.
-        Codes of checked records stay in range, so they are not re-checked."""
+        """New dataset from a record subset; domains and the code dtype are
+        kept.  Codes of checked records stay in range, so they are not
+        re-checked."""
         indices = np.asarray(indices)
         if indices.size == 0:
             raise DataError("record subset is empty")
-        records = _frozen(self._records[indices], np.int64, order="F")
+        records = _frozen(self._records[indices], self._records.dtype, order="F")
         if records.ndim != 2 or records.shape[0] < 1:
             raise DataError("record subset is empty or not one-dimensional")
         sub = object.__new__(Dataset)
@@ -195,7 +213,8 @@ class Dataset:
                     f"label {e.args[0]!r} not in pinned domain of {name!r}"
                 ) from None
             variables.append(Variable(name, dom))
-        return cls(variables, np.array(code_cols, dtype=np.int64).T)
+        # The transpose of a C-order array is column-major, as stored.
+        return cls(variables, np.array(code_cols, _code_dtype(v.size for v in variables)).T)
 
     def __repr__(self):
         return f"Dataset({self.n_records} records, variables={list(self.names)})"
@@ -217,10 +236,10 @@ class ContingencyTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = _frozen(self.counts, np.int64)
+        counts = np.asarray(self.counts, dtype=np.int64)
         if (counts < 0).any():
             raise DataError("negative counts")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _frozen(counts, np.int64))
 
     @property
     def total(self) -> int:
@@ -240,14 +259,14 @@ class JointDistribution:
     y_domain: tuple[str, ...]
 
     def __post_init__(self):
-        p = _frozen(self.p_xy, np.float64)
+        p = np.asarray(self.p_xy, dtype=np.float64)
         if p.ndim != 2:
             raise DataError("p_xy must be a matrix")
         if (p < 0).any():
             raise DataError("negative probabilities")
         if abs(p.sum() - 1.0) > PROB_ATOL:
             raise DataError("joint probabilities do not sum to 1")
-        object.__setattr__(self, "p_xy", p)
+        object.__setattr__(self, "p_xy", _frozen(p, np.float64))
 
     @property
     def p_x(self) -> np.ndarray:
@@ -316,14 +335,17 @@ def _dataset(header: Sequence[str] | None, rows: list[Sequence[str]],
     # them are in first-occurrence order over the records as well.
     kept = list(compress(rows, keep.tolist()))
     rows.clear()
-    record_rows = (np.cumsum(keep) - 1)[inverse[keep[inverse]]]
-    # Column-major, as from_label_columns builds it: code columns are
-    # contiguous for the layers that read them.
-    records = np.empty((record_rows.size, n), dtype=np.int64, order="F")
-    variables = []
+    variables, columns = [], []
     for j, name in enumerate(header):
         domain, codes, _ = _factorize(list(map(itemgetter(j), kept)))
         variables.append(Variable(name, tuple(domain)))
+        columns.append(codes.astype(_code_dtype([len(domain)])))
+    del kept
+    # Written once, column-major and at the width Dataset stores, so the
+    # constructor keeps this array rather than copying it.
+    record_rows = (np.cumsum(keep) - 1)[inverse[keep[inverse]]]
+    records = np.empty((record_rows.size, n), _code_dtype(v.size for v in variables), "F")
+    for j, codes in enumerate(columns):
         records[:, j] = codes[record_rows]
     return Dataset(variables, records)
 
@@ -425,7 +447,7 @@ def _fold(ds: Dataset, names: Sequence[str]) -> tuple[np.ndarray, int]:
     if len(set(names)) != len(names):
         raise DataError("composite parts must be distinct")
     sizes = [ds.var(nm).size for nm in names]
-    keys, n_keys = ds.codes(names[0]), sizes[0]
+    keys, n_keys = ds.codes(names[0]).astype(np.int64), sizes[0]
     for nm, size in zip(names[1:], sizes[1:]):
         if not _dense(n_keys * size, ds.n_records):
             keys, n_keys = _compact(keys, n_keys)
@@ -440,6 +462,7 @@ def _pair_counts(keys: np.ndarray, n_keys: int, y: np.ndarray | None = None,
     :func:`composite` orders cells: each pair's count n_is, its cell's count
     n_i and its response code (0 without one).  ``keys`` lie in
     ``range(n_keys)``; memory is linear in the records."""
+    keys = keys.astype(np.int64, copy=False)  # stored codes are narrow
     if not _dense(n_keys * n_y, keys.size):
         keys, n_keys = _compact(keys, n_keys)
     if y is not None:
@@ -497,7 +520,8 @@ def contingency(ds: Dataset, x: VarSpec, y: str) -> ContingencyTable:
     yv = ds.var(y)
     y_codes = ds.codes(y)
     nx, ny = len(x_domain), yv.size
-    counts = np.bincount(x_codes * ny + y_codes, minlength=nx * ny).reshape(nx, ny)
+    counts = np.bincount(x_codes.astype(np.int64) * ny + y_codes,
+                         minlength=nx * ny).reshape(nx, ny)
     return ContingencyTable(x_name, y, tuple(x_domain), yv.domain, counts)
 
 

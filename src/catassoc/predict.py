@@ -135,8 +135,9 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
     ny = ds.var(y).size
     nx = len(x_domain)
 
+    # Stored codes are narrow: widen them before arithmetic.
     counts_train = np.bincount(
-        x_codes[train_idx] * ny + y_codes[train_idx], minlength=nx * ny
+        x_codes[train_idx].astype(np.int64) * ny + y_codes[train_idx], minlength=nx * ny
     ).reshape(nx, ny)
     if (counts_train.sum(axis=0) == 0).any():
         raise DataError("a response category is absent from the training split")
@@ -147,10 +148,10 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
     seen = row_mass > 0
     cond = counts_train / np.maximum(row_mass, 1)[:, None]
 
-    tx = x_codes[test_idx]
+    tx = x_codes[test_idx].astype(np.int64)
     usable = seen[tx]
     skipped = int((~usable).sum())
-    tx, ty = tx[usable], y_codes[test_idx][usable]
+    tx, ty = tx[usable], y_codes[test_idx][usable].astype(np.int64)
     preds = _draw(cond, rng.random(tx.size), tx)
     confusion = np.bincount(ty * ny + preds, minlength=ny * ny).reshape(ny, ny)
     cm = ConfusionMatrix(confusion, ds.var(y).domain)

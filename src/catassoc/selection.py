@@ -121,7 +121,9 @@ def _forward_backward(ds: Dataset, candidates: list[str],
     """
     y_codes, n_y = (ds.codes(y), ds.var(y).size) if y is not None else (None, 1)
     chosen: list[str] = []
-    codes, n_cells = 0, 1  # no variables: every record in cell 0
+    # No variables: every record in cell 0.  The zero is an int64, so adding
+    # a candidate's narrow stored codes to it widens them.
+    codes, n_cells = np.int64(0), 1
     steps: list[ForwardStep] = []
     current = start
     remaining = list(candidates)

@@ -275,6 +275,61 @@ class TestValueTypes:
         with pytest.raises(DataError, match="out of range for 'A'"):
             Dataset(variables, [[0, 2, -1]])
 
+    @pytest.mark.parametrize("build, given", [
+        (lambda a: Dataset(_AB, a), np.asfortranarray([[0, 1], [1, -1]])),
+        (lambda a: Dataset(_AB, a), np.asfortranarray([[0, 1], [2, 0]], np.uint8)),
+        (lambda a: ContingencyTable("A", "B", ("a", "b"), ("u", "v"), a),
+         np.array([[1, 2], [-3, 4]])),
+        (lambda a: JointDistribution(a, ("a", "b"), ("u", "v")),
+         np.array([[0.5, 0.5], [0.5, -0.5]])),
+    ], ids=["Dataset-int64", "Dataset-stored-dtype", "ContingencyTable", "JointDistribution"])
+    def test_rejected_input_stays_writeable(self, build, given):
+        # an accepted input of the stored dtype and layout is frozen in place
+        with pytest.raises(DataError):
+            build(given)
+        assert given.flags.writeable
+
+
+class TestCodeDtype:
+    """Codes are stored in the narrowest unsigned dtype that holds every
+    code below the largest domain size."""
+
+    @pytest.mark.parametrize("size, dtype", [
+        (2, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+        (65537, np.uint32)])
+    def test_boundaries(self, size, dtype):
+        variables = [Variable("S", ("a", "b")), Variable("W", tuple(map(str, range(size))))]
+        ds = Dataset(variables, np.array([[0, 0], [1, size - 1]]))
+        assert ds.records.dtype == dtype
+        assert ds.records.flags.f_contiguous and not ds.records.flags.writeable
+        assert ds.codes("W").tolist() == [0, size - 1]
+        sub = ds.take([1, 1, 0])
+        assert sub.records.dtype == dtype and sub.codes("W").tolist() == [size - 1] * 2 + [0]
+
+    def test_stored_dtype_and_layout_is_not_copied(self):
+        given = np.asfortranarray([[0, 1], [1, 0]], dtype=np.uint8)
+        ds = Dataset(_AB, given)
+        assert np.shares_memory(ds.records, given)
+
+    def test_negative_code_does_not_wrap(self):
+        # -1 as uint8 is 255, in range for 256 categories
+        variables = [Variable("W", tuple(map(str, range(256))))]
+        with pytest.raises(DataError, match="out of range for 'W'"):
+            Dataset(variables, np.array([[0], [-1]]))
+
+    @pytest.mark.parametrize("codes", [np.array([[0.7], [1.9]]), np.array([[0.0], [1.0]]),
+                                       np.array([[True], [False]])])
+    def test_non_integer_codes_rejected(self, codes):
+        with pytest.raises(DataError, match="record codes must be integers"):
+            Dataset([Variable("A", ("a", "b"))], codes)
+
+    def test_ingest_stores_narrow_codes(self):
+        rows = [["A", "W"]] + [["a", str(i)] for i in range(300)]
+        ds = ingest_records(rows)
+        assert ds.records.dtype == np.uint16 and ds.records.flags.f_contiguous
+        assert ds.codes("W").tolist() == list(range(300))
+        assert ingest_records(rows[:10]).records.dtype == np.uint8
+
 
 class TestComposite:
     def test_self_composite_size(self):
@@ -348,7 +403,7 @@ class TestTake:
         idx = np.array(data.draw(st.lists(st.integers(0, ds.n_records - 1),
                                           min_size=1, max_size=60)))
         got, ref = ds.take(idx), Dataset(ds.variables, ds.records[idx])
-        assert got.records.dtype == ref.records.dtype == np.int64
+        assert got.records.dtype == ref.records.dtype == ds.records.dtype
         assert got.records.flags.f_contiguous and not got.records.flags.writeable
         assert got.records.tolist() == ref.records.tolist()
         assert got.variables == ref.variables and got.names == ref.names

@@ -1,0 +1,239 @@
+"""Codes stored as uint8 or uint16 must count as int64 codes do.
+
+A dataset stores its codes in the narrowest unsigned dtype, and numpy keeps
+``uint8 * int`` as uint8, wrapping it around.  Every table below has code
+products (x * n_Y, or one part times the next part's domain size) past 255
+or 65,535, and every count is checked against an int64 reference over
+np.unique that shares no encoding code with the library.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from catassoc import (
+    Dataset,
+    DataError,
+    Variable,
+    WeightedPopulation,
+    association_matrix,
+    association_vector,
+    contingency,
+    e2prime,
+    equivalence_levels,
+    gk_tau_direct,
+    joint_from_counts,
+    make_weights,
+    select_basis,
+    split_validate,
+    tau,
+    tau_joint,
+)
+
+from conftest import (outcome, reference_forward_backward, reference_population_joint,
+                      slow_cells, slow_tau, slow_weights)
+
+
+#: Labels of the largest domain below; a domain of k categories is a prefix.
+_LABELS = tuple(map(str, range(65536)))
+
+
+def _dataset(columns: dict[str, tuple[int, np.ndarray]]) -> Dataset:
+    """Dataset of (domain size, int64 codes) columns."""
+    variables = [Variable(nm, _LABELS[:k]) for nm, (k, _) in columns.items()]
+    return Dataset(variables, np.stack([c for _, c in columns.values()], axis=1))
+
+
+@st.composite
+def top_code_datasets(draw):
+    """A response ``Y`` whose categories each hold at least four records,
+    and columns ``A``, ``B``, ``C`` whose domains fill more than half of a
+    storage width (256 or 65,536 categories).  Their codes come from a few
+    values near the top spaced ``width // n_Y`` apart, so that x * n_Y + y
+    taken modulo the width sends distinct cells to one key."""
+    width = draw(st.sampled_from([256, 65536]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_y = draw(st.sampled_from([2, 3, 4, 5, 8, 17, 24]))
+    m = 4 * n_y + draw(st.integers(0, 40))
+    columns = {"Y": (n_y, rng.permutation(np.arange(m) % n_y))}
+    for nm in "ABC":
+        k = draw(st.integers(width // 2 + 1, width))
+        pool = np.arange(k - 1, -1, -(width // n_y))[:4]
+        pool = np.concatenate([pool, rng.integers(0, k, draw(st.integers(0, 3)))])
+        columns[nm] = (k, rng.choice(pool, m))
+    ds = _dataset(columns)
+    assert ds.records.dtype == (np.uint8 if width == 256 else np.uint16)
+    return ds
+
+
+@st.composite
+def observed_code_datasets(draw):
+    """``X1``, ``X2`` and ``Y`` with every category observed: 17-40
+    categories (stored as uint8) or 257-300 (stored as uint16), so the
+    products of two columns' codes pass 255 or 65,535.  ``X2`` may be a
+    relabeled copy of ``X1`` and ``Y`` a function of it, so that the
+    equivalence levels hold in some tables."""
+    low, high = draw(st.sampled_from([(17, 40), (257, 300)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k1, k2, k_y = (draw(st.integers(low, high)) for _ in range(3))
+    m = max(k1, k2, k_y) + draw(st.integers(0, 60))
+    x1 = rng.permutation(np.arange(m) % k1)
+    if draw(st.booleans()):
+        k2, x2 = k1, rng.permutation(k1)[x1]
+    else:
+        x2 = rng.permutation(np.arange(m) % k2)
+    if draw(st.booleans()):
+        k_y = min(k_y, k1)
+        y = rng.permutation(np.arange(k1) % k_y)[x1]
+    else:
+        y = rng.permutation(np.arange(m) % k_y)
+    return _dataset({"X1": (k1, x1), "X2": (k2, x2), "Y": (k_y, y)})
+
+
+def reference_table(ds, x, y):
+    """Dense counts of ``x`` against ``y`` from np.unique over int64 code
+    rows.  The rows of a plain variable are its domain; those of a list of
+    parts are its observed code rows in sorted order."""
+    if isinstance(x, str):
+        cells, n_x = ds.codes(x).astype(np.int64), ds.var(x).size
+    else:
+        cells = slow_cells(ds, x)
+        n_x = int(cells.max()) + 1
+    pairs, counts = np.unique(np.stack([cells, ds.codes(y).astype(np.int64)], axis=1),
+                              axis=0, return_counts=True)
+    table = np.zeros((n_x, ds.var(y).size), dtype=np.int64)
+    table[pairs[:, 0], pairs[:, 1]] = counts
+    return table
+
+
+def determines(ds, given, target):
+    """Whether every observed value of ``given`` occurs with one value of ``target``."""
+    rows = np.stack([ds.codes(given), ds.codes(target)], axis=1)
+    return len(np.unique(rows, axis=0)) == len(np.unique(ds.codes(given)))
+
+
+def reference_split(ds, x, y, train_frac, seed):
+    """split_validate's unstratified split, train counts and test confusion
+    from int64 codes, one proportional draw per test record."""
+    m = ds.n_records
+    n_train = int(round(train_frac * m))
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(m)
+    train_idx, test_idx = perm[:n_train], perm[n_train:]
+    xc, yc = ds.codes(x).astype(np.int64), ds.codes(y).astype(np.int64)
+    n_y = ds.var(y).size
+    train = np.zeros((ds.var(x).size, n_y), dtype=np.int64)
+    pairs, counts = np.unique(np.stack([xc[train_idx], yc[train_idx]], axis=1), axis=0,
+                              return_counts=True)
+    train[pairs[:, 0], pairs[:, 1]] = counts
+    if (train.sum(axis=0) == 0).any():
+        raise DataError("a response category is absent from the training split")
+    usable = [i for i in test_idx if train[xc[i]].sum() > 0]
+    confusion = np.zeros((n_y, n_y), dtype=np.int64)
+    for i, u in zip(usable, rng.random(len(usable))):
+        cdf = np.cumsum(train[xc[i]] / train[xc[i]].sum())
+        cdf[-1] = 1.0
+        confusion[yc[i], int(np.searchsorted(cdf, u, side="right"))] += 1
+    return train, confusion, len(test_idx) - len(usable)
+
+
+class TestTopCodes:
+    @given(top_code_datasets())
+    @settings(max_examples=150, deadline=None)
+    def test_contingency(self, ds):
+        for x in ("A", ["A"], ["A", "B"], ["C", "B", "A"]):
+            assert np.array_equal(contingency(ds, x, "Y").counts,
+                                  reference_table(ds, x, "Y")), x
+
+    @given(top_code_datasets(), st.sampled_from(["gk", "ew", "ipw"]))
+    @settings(max_examples=150, deadline=None)
+    def test_tau_joint(self, ds, alpha):
+        weights = slow_weights(ds, "Y", alpha)
+        for xs in (["A"], ["A", "B"], ["C", "B", "A"]):
+            assert tau_joint(ds, "Y", xs, alpha=alpha) == slow_tau(ds, "Y", xs, weights), xs
+
+    @given(top_code_datasets())
+    @settings(max_examples=150, deadline=None)
+    def test_select_basis_forward_scores(self, ds):
+        weights = slow_weights(ds, "Y", "gk")
+        ref = reference_forward_backward(ds, ["A", "B", "C"],
+                                         lambda xs: slow_tau(ds, "Y", xs, weights),
+                                         minimize=False, start=0.0, eps=1e-9, metric="tau")
+        assert select_basis(ds, "Y", alpha="gk") == ref
+
+    @given(top_code_datasets(), st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_split_validate_counts(self, ds, seed):
+        res = outcome(lambda: split_validate(ds, "A", "Y", train_frac=0.8, seed=seed))
+        ref = outcome(lambda: reference_split(ds, "A", "Y", 0.8, seed))
+        if isinstance(ref[0], str):  # the error both raise
+            assert res == ref
+            return
+        train, confusion, skipped = ref
+        gamma = association_matrix(joint_from_counts(train)).gamma
+        assert np.array_equal(res.train_gamma.gamma, gamma)
+        assert res.test_confusion.counts.tolist() == confusion.tolist()
+        assert res.skipped_unseen == skipped
+
+    @given(top_code_datasets(), st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_population_joint(self, ds, seed):
+        w = np.random.default_rng(seed).random(ds.n_records) + 0.01
+        pop = WeightedPopulation(ds.variables, ds.records, w / w.sum())
+        for xs in (["A"], ["A", "B"], ["C", "B", "A"]):
+            p, x_domain = reference_population_joint(pop, xs, "Y")
+            j = pop.joint(xs, "Y")
+            assert np.array_equal(j.p_xy, p) and j.x_domain == x_domain, xs
+
+
+class TestObservedCodes:
+    @given(observed_code_datasets())
+    @settings(max_examples=100, deadline=None)
+    def test_composite_counts(self, ds):
+        # 17-40 categories a part: the fold is counted, not ranked first
+        weights = slow_weights(ds, "Y", "gk")
+        for xs in (["X1", "X2"], ["X2", "X1"]):
+            assert np.array_equal(contingency(ds, xs, "Y").counts,
+                                  reference_table(ds, xs, "Y")), xs
+            assert tau_joint(ds, "Y", xs) == slow_tau(ds, "Y", xs, weights), xs
+
+    def test_uint16_fold_at_scale(self):
+        # 25,000 records, parts of 300 categories: the 90,000 keys of the
+        # fold are counted, not ranked first, and pass 65,535
+        rng = np.random.default_rng(12)
+        m = 25_000
+        ds = _dataset({"X1": (300, rng.integers(0, 300, m)),
+                       "X2": (300, rng.integers(0, 300, m)),
+                       "Y": (3, rng.permutation(np.arange(m) % 3))})
+        assert ds.records.dtype == np.uint16
+        xs = ["X1", "X2"]
+        assert np.array_equal(contingency(ds, xs, "Y").counts, reference_table(ds, xs, "Y"))
+        assert tau_joint(ds, "Y", xs) == slow_tau(ds, "Y", xs, slow_weights(ds, "Y", "gk"))
+
+    @given(observed_code_datasets())
+    @settings(max_examples=100, deadline=None)
+    def test_e2prime(self, ds):
+        assert e2prime(ds, "X1", "X2", tol=0.0) == \
+            (determines(ds, "X1", "X2") and determines(ds, "X2", "X1"))
+
+    @given(observed_code_datasets())
+    @settings(max_examples=100, deadline=None)
+    def test_equivalence_levels(self, ds):
+        report = equivalence_levels(ds, "X1", "X2", "Y", tol=0.0)
+        y_x1, y_x2 = determines(ds, "X1", "Y"), determines(ds, "X2", "Y")
+        assert report.levels[1] == (determines(ds, "X1", "X2")
+                                    and determines(ds, "X2", "X1") and y_x1)
+        assert report.levels[2] == (y_x1 and y_x2)
+        joints = [joint_from_counts(reference_table(ds, x, "Y")) for x in ("X1", "X2")]
+        g1, g2 = (association_matrix(j).gamma for j in joints)
+        v1, v2 = (association_vector(j) for j in joints)
+        alpha = make_weights("gk", p_y=joints[0].p_y)
+        d = report.details
+        assert d["max_gamma_diff"] == np.abs(g1 - g2).max()
+        assert d["max_theta_diff"] == np.abs(v1.theta - v2.theta).max()
+        assert (d["tau_alpha_x1"], d["tau_alpha_x2"]) == (tau(v1, alpha), tau(v2, alpha))
+        for key, given_, target in (("tau_y_x1", "X1", "Y"), ("tau_y_x2", "X2", "Y"),
+                                    ("tau_x1_x2", "X2", "X1"), ("tau_x2_x1", "X1", "X2")):
+            ref = gk_tau_direct(joint_from_counts(reference_table(ds, given_, target)))
+            assert d[key] == pytest.approx(ref, rel=1e-9, abs=1e-12), key
