@@ -14,9 +14,11 @@ Y, this module computes:
   classical Goodman-Kruskal tau is the special case weighted by each
   category's share of the response's Gini variation.
 
-The direct Goodman-Kruskal tau (:func:`gk_tau_direct`) is computed from
-its own closed form and serves as an independent cross-check of the
-vector route; the two agree to near machine precision.
+Every vector and degree, from a dense table or from observed pairs, is
+scored by one function, :func:`_theta`.  The closed forms are oracles
+only: the direct Goodman-Kruskal tau (:func:`gk_tau_direct`) and the
+rationals of :mod:`catassoc.exact` are computed independently, and must
+agree with the vector route to near machine precision.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import Union
 
 import numpy as np
 
-from .dataset import ContingencyTable, JointDistribution, _frozen, _pair_counts, to_joint
+from .dataset import (ContingencyTable, JointDistribution, _compact, _frozen, _pair_counts,
+                      to_joint)
 from .errors import DataError, NumericDomainError
 
 #: Default tolerance for algebraic identities checked in tests.
@@ -110,11 +113,16 @@ def _as_joint(j: JointLike) -> JointDistribution:
     raise DataError(f"expected a joint distribution or contingency table, got {type(j)!r}")
 
 
-def _checked_marginals(j: JointDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marginals plus the conditional-ready joint restricted to observed X rows."""
-    p = j.p_xy
-    p_x = j.p_x
-    p_y = j.p_y
+def _table(j: JointLike) -> np.ndarray:
+    """A table's entries, rows X and columns Y: counts, or a joint's probabilities."""
+    return j.counts if isinstance(j, ContingencyTable) else _as_joint(j).p_xy
+
+
+def _checked_marginals(j: JointLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Marginals plus the conditional-ready joint (a table's plug-in joint)
+    restricted to observed X rows."""
+    p = _as_joint(j).p_xy
+    p_x, p_y = p.sum(axis=1), p.sum(axis=0)
     if (p_y <= 0).any():
         raise NumericDomainError(
             "response has a zero-probability category; drop unused categories first"
@@ -131,7 +139,6 @@ def association_matrix(j: JointLike) -> AssociationMatrix:
     the cell mass and the marginal of s.  Explanatory cells with zero
     probability contribute nothing.
     """
-    j = _as_joint(j)
     p, p_x, p_y = _checked_marginals(j)
     cond = p / p_x[:, None]              # p(Y=t | X=i) on observed rows
     gamma = (cond.T @ p) / p_y[:, None]  # rows: true category s
@@ -142,18 +149,14 @@ def association_vector(j: JointLike) -> AssociationVector:
     """Accuracy-lift rate for each response category.
 
     Component s is the diagonal entry of the association matrix for s,
-    normalized from its independence baseline (the marginal of s) to 1.
-    Undefined when Y is constant.
+    normalized from its independence baseline (the marginal of s) to 1,
+    scored by :func:`_theta` as every degree is.  Undefined when Y is
+    constant.
     """
-    j = _as_joint(j)
-    p, p_x, p_y = _checked_marginals(j)
-    if (p_y >= 1).any() or j.n_y < 2:
-        raise NumericDomainError("response is constant; association vector undefined")
-    # p / p_x first: exactly 1 where X determines s, so that lift is exactly 1.
-    e_sq = (p * (p / p_x[:, None])).sum(axis=0)   # E[p(Y=s|X)^2]
-    gamma_ss = e_sq / p_y
-    theta = (gamma_ss - p_y) / (1.0 - p_y)
-    return AssociationVector(theta, j.y_domain)
+    t = np.ascontiguousarray(_table(j))  # each row sums as its entries do in _theta
+    rows, s = np.nonzero(t)
+    return AssociationVector(_theta(t[rows, s], t.sum(axis=1)[rows], s, t.shape[1]),
+                             j.y_domain)
 
 
 def make_weights(scheme: str, p_y=None, custom=None) -> WeightVector:
@@ -220,11 +223,11 @@ def tau(theta: AssociationVector, alpha: WeightVector):
 
 
 def tau_scheme(j: JointLike, scheme: str = "gk", custom=None) -> float:
-    """Association degree of Y on X under a named weight scheme."""
-    j = _as_joint(j)
+    """Association degree of Y on X under a named weight scheme, weighted
+    from the table's column marginal: ``tau_joint`` of the same variables."""
     th = association_vector(j)
-    w = make_weights(scheme, p_y=j.p_y, custom=custom)
-    return tau(th, w)
+    col = _table(j).sum(axis=0)
+    return tau(th, make_weights(scheme, p_y=col / col.sum(), custom=custom))
 
 
 def gk_tau_direct(j: JointLike) -> float:
@@ -234,7 +237,6 @@ def gk_tau_direct(j: JointLike) -> float:
     conditioning on X.  Kept as an independent oracle: it must agree with
     ``tau(association_vector(j), gk weights)`` to near machine precision.
     """
-    j = _as_joint(j)
     p, p_x, p_y = _checked_marginals(j)
     ep_y = float(p_y @ p_y)
     if 1.0 - ep_y <= 0:
@@ -253,31 +255,38 @@ def _group_sum(w: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
     return np.bincount(keys, w.ravel(), minlength=rows * n_groups).reshape(rows, n_groups)
 
 
-def _pair_tau(pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
-              y_domain: tuple[str, ...], weights: WeightVector):
-    """:func:`tau` from the observed pairs of ``dataset._pair_counts``, with the
-    errors of :func:`association_vector`; a determined category's lift is 1,
-    and one observed cell leaves every lift exactly 0.
+def _theta(n_is: np.ndarray, n_i: np.ndarray, s: np.ndarray, n_y: int) -> np.ndarray:
+    """The association vector from a table's positive entries ``n_is``
+    (counts or probabilities) in row-major order, each with its row total
+    ``n_i`` and response code ``s``.  A determined category's lift is
+    exactly 1, and one observed cell leaves every lift exactly 0.
 
     ``n_is`` and ``n_i`` may carry a leading replicate axis over the same
-    pairs, whose response codes are ``s``; one degree per replicate is then
-    returned.  A pair a replicate leaves empty needs a positive ``n_i``."""
-    n_is, n_i, s = pairs
-    n_s = _group_sum(n_is, s, len(y_domain))
+    entries, for one vector per replicate; an entry a replicate leaves
+    empty needs a positive ``n_i``."""
+    n_s = _group_sum(n_is, s, n_y)
     if not n_s.all():
         raise NumericDomainError(
             "response has a zero-probability category; drop unused categories first"
         )
-    if len(y_domain) < 2:  # otherwise every category holds fewer than all records
+    if n_y < 2:  # otherwise every category holds less than the whole table
         raise NumericDomainError("response is constant; association vector undefined")
     n = n_is.sum(axis=-1, keepdims=True)
     p_y = n_s / n
-    gamma_ss = _group_sum(n_is * (n_is / n_i), s, len(y_domain)) / n_s
+    # n_is / n_i first: exactly 1 where X determines s, so that lift is exactly 1.
+    gamma_ss = _group_sum(n_is * (n_is / n_i), s, n_y) / n_s
     theta = (gamma_ss - p_y) / (1.0 - p_y)
     one_cell = n_i.max(axis=-1) == n[..., 0]  # gamma_ss is p_y, up to rounding
     if one_cell.any():
         theta[one_cell] = 0.0
-    return tau(AssociationVector(theta, y_domain), weights)
+    return theta
+
+
+def _pair_tau(pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+              y_domain: tuple[str, ...], weights: WeightVector):
+    """:func:`tau` from the observed pairs of ``dataset._pair_counts``: the
+    table's positive entries in row-major order, as :func:`_theta` takes them."""
+    return tau(AssociationVector(_theta(*pairs, len(y_domain)), y_domain), weights)
 
 
 def _determination(cells: np.ndarray, target: np.ndarray,
@@ -291,9 +300,9 @@ def _determination(cells: np.ndarray, target: np.ndarray,
     conditionals_01 = bool(np.all((cond <= eps) | (cond >= 1.0 - eps)))
     if np.array_equal(n_is, n_i):
         return True, conditionals_01, 1.0
-    p, p_i, p_t = n_is / target.size, n_i / target.size, np.bincount(t, n_is) / target.size
-    ep_t = float(p_t @ p_t)
-    tau_t = (float((p * p / p_i).sum()) - ep_t) / (1.0 - ep_t)
+    s, n_t = _compact(t, int(t.max()) + 1)  # over the observed target values
+    weights = make_weights("gk", p_y=np.bincount(s, n_is) / target.size)
+    tau_t = _pair_tau((n_is, n_i, s), range(n_t), weights)
     return bool(eps > 0 and tau_t >= 1.0 - eps), conditionals_01, tau_t
 
 

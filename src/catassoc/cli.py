@@ -29,13 +29,13 @@ import numpy as np
 from . import report as rep
 from .association import association_matrix, association_vector, make_weights
 from .basis import minimal_basis, structural_basis, verify_basis
-from .dataset import Dataset, _decode, contingency, read_csv, to_joint
+from .dataset import Dataset, _decode, contingency, read_csv
 from .equivalence import equivalence_levels
 from .errors import DataError, NumericDomainError
 from .fixtures import FIXTURES, fixture
 from .predict import split_validate
 from .resample import count_bootstrap
-from .selection import SelectionTrace, select_basis, tau_joint, y_marginal
+from .selection import SelectionTrace, select_basis, tau_joint
 from .simgen import gen_flu
 
 EXIT_OK = 0
@@ -108,9 +108,10 @@ def _load(cfg: RunConfig) -> Dataset:
     return read_csv(cfg.input, missing_policy=cfg.missing)
 
 
-def _weights_for(cfg: RunConfig, p_y):
+def _weights_for(cfg: RunConfig):
+    """The custom weights of ``--weights-file``, else the ``--weights`` name."""
     if not cfg.weights_file:
-        return make_weights(cfg.weights, p_y=p_y)
+        return cfg.weights
     with open(cfg.weights_file, "rb") as f:
         data = f.read()
     try:
@@ -145,7 +146,7 @@ def _dataset_csv(ds: Dataset) -> str:
 
 def _cmd_matrix(cfg: RunConfig) -> str:
     ds = _load(cfg)
-    j = to_joint(contingency(ds, cfg.x, cfg.y))
+    j = contingency(ds, cfg.x, cfg.y)
     if cfg.format == "json":
         return _json_out(cfg, rep.association_report(j))
     gamma = association_matrix(j)
@@ -156,7 +157,7 @@ def _cmd_matrix(cfg: RunConfig) -> str:
 
 def _cmd_vector(cfg: RunConfig) -> str:
     ds = _load(cfg)
-    j = to_joint(contingency(ds, cfg.x, cfg.y))
+    j = contingency(ds, cfg.x, cfg.y)
     if cfg.format == "json":
         return _json_out(cfg, rep.association_report(j))
     theta = association_vector(j)
@@ -167,8 +168,7 @@ def _cmd_vector(cfg: RunConfig) -> str:
 
 def _cmd_tau(cfg: RunConfig) -> str:
     ds = _load(cfg)
-    value = tau_joint(ds, cfg.y, cfg.x,
-                      alpha=_weights_for(cfg, y_marginal(ds, cfg.y)))
+    value = tau_joint(ds, cfg.y, cfg.x, alpha=_weights_for(cfg))
     if cfg.format == "json":
         return _json_out(cfg, {"tau": value, "weights": cfg.weights})
     return rep.fmt4(value)
@@ -177,8 +177,7 @@ def _cmd_tau(cfg: RunConfig) -> str:
 def _cmd_equiv(cfg: RunConfig) -> str:
     ds = _load(cfg)
     levels = equivalence_levels(ds, cfg.x[0], cfg.x2, cfg.y,
-                                alpha=_weights_for(cfg, y_marginal(ds, cfg.y)),
-                                tol=cfg.tol)
+                                alpha=_weights_for(cfg), tol=cfg.tol)
     result = rep.equivalence_report(levels)
     if cfg.format == "json":
         return _json_out(cfg, result)
@@ -200,9 +199,7 @@ def _steps_text(trace: SelectionTrace) -> list[str]:
 
 def _cmd_select(cfg: RunConfig) -> str:
     ds = _load(cfg)
-    trace = select_basis(ds, cfg.y,
-                         alpha=_weights_for(cfg, y_marginal(ds, cfg.y)),
-                         eps_gain=cfg.eps)
+    trace = select_basis(ds, cfg.y, alpha=_weights_for(cfg), eps_gain=cfg.eps)
     if cfg.format == "json":
         return _json_out(cfg, rep.trace_report(trace))
     lines = _steps_text(trace)
@@ -264,7 +261,7 @@ def _cmd_bootstrap(cfg: RunConfig) -> str:
     else:
         fullset, subset = cfg.subset or explanatory, None
     res = count_bootstrap(ds, cfg.y, fullset, subset,
-                          alpha=_weights_for(cfg, y_marginal(ds, cfg.y)),
+                          alpha=_weights_for(cfg),
                           B=cfg.B, level=cfg.level, seed=cfg.seed)
     result = {
         "stat": cfg.stat,

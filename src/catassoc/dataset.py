@@ -4,8 +4,8 @@ A :class:`Dataset` stores records of category labels over named variables,
 encoded as dense integer codes.  From it one builds composite variables
 (observed joint values of several columns), contingency tables, and
 plug-in joint distributions.  Association matrices, vectors and
-prediction consume the :class:`JointDistribution` produced here; the
-scores of selection and bases count observed (cell, value) pairs instead.
+prediction consume the tables and joints produced here; the scores of
+selection and bases count observed (cell, value) pairs instead.
 
 All estimation is plug-in: probabilities are empirical frequencies, with
 no smoothing.  Categories never observed in the data do not exist as far
@@ -169,15 +169,20 @@ class Dataset:
         return np.asarray(v.domain, dtype=object)[self.codes(name)]
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """New dataset from a record subset; domains and the code dtype are
-        kept.  Codes of checked records stay in range, so they are not
-        re-checked."""
+        """New dataset from a record subset (indices or a boolean mask),
+        written once, column by column; domains and the code dtype are kept.
+        Codes of checked records stay in range, so they are not re-checked."""
         indices = np.asarray(indices)
-        if indices.size == 0:
-            raise DataError("record subset is empty")
-        records = _frozen(self._records[indices], self._records.dtype, order="F")
-        if records.ndim != 2 or records.shape[0] < 1:
+        if indices.dtype == bool:
+            if indices.shape != (self.n_records,):
+                raise DataError("record mask does not match the records")
+            indices = np.flatnonzero(indices)
+        if indices.ndim != 1 or indices.size == 0:
             raise DataError("record subset is empty or not one-dimensional")
+        records = np.empty((indices.size, len(self._variables)), self._records.dtype, "F")
+        for j in range(records.shape[1]):
+            np.take(self._records[:, j], indices, out=records[:, j])
+        records.setflags(write=False)
         sub = object.__new__(Dataset)
         sub._variables, sub._records, sub._index = self._variables, records, self._index
         return sub
@@ -275,10 +280,6 @@ class JointDistribution:
     @property
     def p_y(self) -> np.ndarray:
         return self.p_xy.sum(axis=0)
-
-    @property
-    def n_y(self) -> int:
-        return self.p_xy.shape[1]
 
 
 def _factorize(keys: Sequence) -> tuple[list, np.ndarray, np.ndarray]:

@@ -15,7 +15,9 @@ coincide.  Comparisons are tolerance-based by default (the float route)
 but can be made exact on integer-count data via ``exact=True``, which is
 what the hierarchy property tests use.  Both routes share one definition
 of the levels, and both decide levels 1 and 2 and their taus from the
-observed (given, target) pairs, exactly at tolerance 0.
+observed (given, target) pairs, exactly at tolerance 0.  The float route
+scores with the kernel every degree uses; the closed forms of
+:mod:`catassoc.exact` are the oracle, used only by the exact route.
 """
 
 from __future__ import annotations
@@ -25,16 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact as _exact
-from .association import (
-    WeightVector,
-    _determination,
-    association_matrix,
-    association_vector,
-    make_weights,
-    tau,
-)
-from .dataset import Dataset, contingency, to_joint
+from .association import (WeightVector, _determination, association_matrix,
+                          association_vector, tau)
+from .dataset import Dataset, contingency
 from .errors import DataError, NumericDomainError
+from .selection import _resolve_weights
 
 #: Default tolerance for equality of association quantities.
 DEFAULT_TOL = 1e-9
@@ -75,19 +72,21 @@ def e2prime(ds: Dataset, x1: str, x2: str, tol: float = DEFAULT_TOL) -> bool:
 
 
 def equivalence_levels(ds: Dataset, x1: str, x2: str, y: str,
-                       alpha: WeightVector | None = None,
+                       alpha: WeightVector | str | None = None,
                        tol: float = DEFAULT_TOL,
                        exact: bool = False) -> EquivalenceReport:
     """Evaluate all five equivalence levels for a pair of explanatory variables.
 
-    ``alpha`` parameterizes level 5 and defaults to the Gini-share
-    weights of the response.  With ``exact=True`` all comparisons are
-    performed in rational arithmetic at tolerance zero (level 5 then
-    always uses the exact Gini-share weights); otherwise ``tol`` >= 0.
+    ``alpha`` parameterizes level 5 and takes what ``tau_joint`` takes: a
+    weight vector, or a scheme name weighted from the response's marginal
+    (default ``"gk"``).  With ``exact=True`` all comparisons are performed
+    in rational arithmetic at tolerance zero (level 5 then always uses the
+    exact Gini-share weights); otherwise ``tol`` >= 0.
 
     Levels 1-2 and the four ``tau_*`` details come from observed pairs
     (a determined pair's tau is exactly 1); apart from the y|x1 and y|x2
-    tables of levels 3-5, memory is linear in the records.
+    count tables of levels 3-5, memory is linear in the records.  Under gk
+    weights an undetermined ``tau_y_x1`` equals ``tau_alpha_x1`` bitwise.
     """
     if len({x1, x2, y}) != 3:
         raise DataError("x1, x2, y must be three distinct variables")
@@ -117,12 +116,10 @@ def equivalence_levels(ds: Dataset, x1: str, x2: str, y: str,
         th1, th2 = (_exact.theta_exact(c) for c in counts)
         t1, t2 = (_exact.tau_exact(c) for c in counts)
     else:
-        joints = [to_joint(t) for t in tables]
-        g1, g2 = (association_matrix(j).gamma for j in joints)
-        v1, v2 = (association_vector(j) for j in joints)
+        g1, g2 = (association_matrix(t).gamma for t in tables)
+        v1, v2 = (association_vector(t) for t in tables)
         th1, th2 = v1.theta, v2.theta
-        if alpha is None:
-            alpha = make_weights("gk", p_y=joints[0].p_y)
+        alpha = _resolve_weights(ds, y, alpha)
         if not alpha.regular:
             raise NumericDomainError("level-5 comparison needs a regular weight vector")
         t1, t2 = tau(v1, alpha), tau(v2, alpha)

@@ -20,9 +20,7 @@ from .association import (
     JointLike,
     association_matrix,
     association_vector,
-    make_weights,
-    tau,
-    _as_joint,
+    tau_scheme,
 )
 from .equivalence import EquivalenceReport
 from .selection import SelectionTrace
@@ -63,14 +61,10 @@ def stable_json(obj) -> str:
 
 
 def association_report(j: JointLike) -> dict:
-    """Bundle matrix, vector and the three named degrees for one joint."""
-    j = _as_joint(j)
+    """Bundle matrix, vector and the three named degrees for one table or joint."""
     gamma = association_matrix(j)
     theta = association_vector(j)
-    taus = {
-        scheme: tau(theta, make_weights(scheme, p_y=j.p_y))
-        for scheme in ("gk", "ew", "ipw")
-    }
+    taus = {scheme: tau_scheme(j, scheme) for scheme in ("gk", "ew", "ipw")}
     return {
         "y_domain": list(gamma.y_domain),
         "gamma": gamma.gamma.tolist(),

@@ -113,17 +113,18 @@ def count_bootstrap(ds: Dataset, y: str, fullset: Sequence[str],
                     level: float = 0.95, seed: int = 0) -> BootstrapResult:
     """Percentile bootstrap, within response strata, of ``tau_joint(ds, y,
     fullset)`` or, given ``subset``, of ``retention_ratio(ds, y, subset,
-    fullset)``.  The statistic's errors come first, then those of ``B`` and
-    ``level``.  Each set is encoded once, and its pairs in each replicate
-    are sums of the full set's pair counts."""
+    fullset)``.  The errors of ``alpha`` come first, then the statistic's,
+    then those of ``B`` and ``level``.  Each set is encoded once, and its
+    pairs in each replicate are sums of the full set's pair counts."""
+    weights = _resolve_weights(ds, y, alpha)
     sets = [[fullset] if isinstance(fullset, str) else list(fullset)]
     if subset is None:
-        point = tau_joint(ds, y, sets[0], alpha=alpha)
+        point = tau_joint(ds, y, sets[0], alpha=weights)
     else:
         sets.append([subset] if isinstance(subset, str) else list(subset))
-        point = retention_ratio(ds, y, sets[1], sets[0], alpha=alpha)
+        point = retention_ratio(ds, y, sets[1], sets[0], alpha=weights)
     _check_draws(B, level)
-    weights, y_domain = _resolve_weights(ds, y, alpha), ds.var(y).domain
+    y_domain = ds.var(y).domain
     n_y = len(y_domain)
     comps = [composite(ds, names) for names in sets]
     keys, first, n_is = np.unique(comps[0].codes * n_y + ds.codes(y),

@@ -87,11 +87,11 @@ def tau_joint(ds: Dataset, y: str, xs: Sequence[str],
     for one variable set; memory is linear in the records.
     """
     xs = [xs] if isinstance(xs, str) else list(xs)
+    w = _resolve_weights(ds, y, alpha)
     if not xs:
         raise DataError("tau_joint needs at least one explanatory variable")
     if y in xs:
         raise DataError(f"response {y!r} appears among the explanatory variables")
-    w = _resolve_weights(ds, y, alpha)
     pairs = _pair_counts(*_fold(ds, xs), ds.codes(y), ds.var(y).size)
     return _pair_tau(pairs, ds.var(y).domain, w)
 
@@ -179,11 +179,10 @@ def select_basis(ds: Dataset, y: str,
     """
     if not eps_gain >= 0:
         raise DataError("eps_gain must be nonnegative")
-    y_domain = ds.var(y).domain
+    y_domain, weights = ds.var(y).domain, _resolve_weights(ds, y, alpha)
     explanatory = [nm for nm in ds.names if nm != y]
     if not explanatory:
         raise DataError("no explanatory variables")
-    weights = _resolve_weights(ds, y, alpha)
     return _forward_backward(
         ds, explanatory, lambda pairs: _pair_tau(pairs, y_domain, weights),
         y, minimize=False, start=0.0, eps=eps_gain, metric="tau")

@@ -19,6 +19,8 @@ from catassoc import (
     tau_scheme,
     to_joint,
     contingency,
+    equivalence_levels,
+    tau_joint,
 )
 from catassoc.association import IDENTITY_ATOL, _pair_tau
 from catassoc.exact import tau_exact
@@ -27,7 +29,8 @@ from catassoc.fixtures import (
     tenths_dataset,
 )
 
-from conftest import outcome, random_joint, table_pairs
+from conftest import (coded_datasets, outcome, random_joint, random_triple_dataset,
+                      table_pairs)
 
 LOAN_RISK_GAMMA_ONTIME = np.array([
     [.5108, .0407, .4485],
@@ -367,3 +370,47 @@ class TestPairKernel:
         slow = outcome(lambda: tau(association_vector(joint_from_counts(table)), w))
         assert outcome(lambda: _pair_tau(table_pairs(table), y_domain, w)) == slow
         assert isinstance(slow, tuple)
+
+
+class TestOneKernel:
+    """A dense table, its observed pairs and a determination tau are scored
+    by one function from one marginal, so every route gives one table one
+    value, bitwise."""
+
+    @given(coded_datasets(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_table_route_equals_pair_route(self, ds, data):
+        y = data.draw(st.sampled_from(ds.names))
+        xs = data.draw(st.lists(st.sampled_from([nm for nm in ds.names if nm != y]),
+                                min_size=1, unique=True))
+        for scheme in ("gk", "ew", "ipw"):
+            table = outcome(lambda: tau_scheme(contingency(ds, xs, y), scheme))
+            pairs = outcome(lambda: tau_joint(ds, y, xs, scheme))
+            if isinstance(table, tuple):  # they check the response in another order
+                assert isinstance(pairs, tuple) and pairs[0] == table[0] == "NumericDomainError"
+            else:
+                assert table == pairs, scheme
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equivalence_taus_equal_tau_joint(self, seed):
+        ds = random_triple_dataset(np.random.default_rng(seed))
+        d = equivalence_levels(ds, "X1", "X2", "Y").details
+        for x, k in (("X1", "x1"), ("X2", "x2")):
+            value = tau_joint(ds, "Y", x)
+            assert d[f"tau_alpha_{k}"] == value
+            # a determined pair's tau is exactly 1, the weights' sum nearly
+            assert d[f"tau_y_{k}"] == (1.0 if abs(value - 1.0) <= IDENTITY_ATOL else value)
+
+    def test_one_row_scores_exactly_zero(self):
+        # one observed row, of counts or of probabilities in either layout
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            k = int(rng.integers(2, 20))
+            counts, row = rng.integers(1, 50, (1, k)), rng.random(k) + 1e-3
+            padded = np.vstack([np.zeros(k), row, np.zeros(k)])
+            table = ContingencyTable("X", "Y", ("x",), tuple(map(str, range(k))), counts)
+            for j in (table, joint_from_counts(row[None]), joint_from_counts(padded),
+                      joint_from_counts(np.asfortranarray(padded))):
+                assert association_vector(j).theta.tolist() == [0.0] * k
+                assert [tau_scheme(j, s) for s in ("gk", "ew", "ipw")] == [0.0] * 3

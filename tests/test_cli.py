@@ -270,6 +270,35 @@ class TestReportPaths:
         assert check(*capsys.readouterr())
 
 
+class TestOneValuePerTable:
+    """tau, vector and equiv score a table through one kernel and weight it
+    from one marginal, so they print one value for it."""
+
+    @pytest.mark.parametrize("x, x2", [("On-Time", "Age"), ("Age", "Income"),
+                                       ("Income", "Credit"), ("Credit", "Age")])
+    def test_loan_degrees_agree(self, x, x2, capsys):
+        def run(*argv):
+            assert main([*argv, "-i", "loan", "--y", "Risk", "--format", "json"]) == EXIT_OK
+            return _result(capsys.readouterr().out)
+
+        by_scheme = run("vector", "--x", x)["tau_by_scheme"]
+        for scheme in ("gk", "ew", "ipw"):
+            assert run("tau", "--x", x, "--weights", scheme)["tau"] == by_scheme[scheme]
+        details = run("equiv", "--x1", x, "--x2", x2)["details"]
+        assert details["tau_y_x1"] == details["tau_alpha_x1"] == by_scheme["gk"]
+
+    def test_constant_x_scores_exactly_zero(self, tmp_path, capsys):
+        p = tmp_path / "const_x.csv"
+        p.write_text("X,Y\nk,a\nk,b\nk,c\nk,c\nk,c\n", encoding="utf-8")
+        argv = ["vector", "-i", str(p), "--x", "X", "--y", "Y"]
+        assert main(argv + ["--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out == "a,b,c\n0.0,0.0,0.0\n"
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        result = _result(capsys.readouterr().out)
+        assert result["theta"] == [0.0] * 3
+        assert result["tau_by_scheme"] == {"gk": 0.0, "ew": 0.0, "ipw": 0.0}
+
+
 class TestSimulateAndFixtures:
     def test_simulate_csv_header(self, capsys):
         assert main(["simulate", "flu", "--n", "5", "--seed", "2"]) == EXIT_OK

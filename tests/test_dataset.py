@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,6 +417,29 @@ class TestTake:
         for empty in ([], np.zeros(3, bool)):
             with pytest.raises(DataError, match="record subset is empty"):
                 ds.take(empty)
+
+    @pytest.mark.parametrize("bad", [np.ones(2, bool), np.ones(4, bool),
+                                     np.ones((3, 2), bool), [[0, 1]]])
+    def test_malformed_subsets_rejected(self, bad):
+        ds = Dataset(_AB, [[0, 1], [1, 0], [1, 1]])
+        with pytest.raises(DataError, match="record"):
+            ds.take(bad)
+
+    def test_subset_written_once(self):
+        # Fancy indexing of column-major records gives a C-order copy, and
+        # storing it column-major a second one.
+        rng = np.random.default_rng(3)
+        ds = Dataset([Variable(f"V{j}", tuple(map(str, range(200)))) for j in range(6)],
+                     np.asfortranarray(rng.integers(0, 200, (200_000, 6), dtype=np.uint8)))
+        idx = rng.integers(0, ds.n_records, 100_000)
+        tracemalloc.start()
+        try:
+            sub = ds.take(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sub.records.tolist() == ds.records[idx].tolist()
+        assert peak < 1.5 * sub.records.nbytes, peak
 
 
 class TestPairCountsAgainstUnique:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catassoc import (
+    ContingencyTable,
     Dataset,
     DataError,
     Variable,
@@ -225,10 +226,12 @@ class TestObservedCodes:
         assert report.levels[1] == (determines(ds, "X1", "X2")
                                     and determines(ds, "X2", "X1") and y_x1)
         assert report.levels[2] == (y_x1 and y_x2)
-        joints = [joint_from_counts(reference_table(ds, x, "Y")) for x in ("X1", "X2")]
-        g1, g2 = (association_matrix(j).gamma for j in joints)
-        v1, v2 = (association_vector(j) for j in joints)
-        alpha = make_weights("gk", p_y=joints[0].p_y)
+        tables = [ContingencyTable(x, "Y", ds.var(x).domain, ds.var("Y").domain,
+                                   reference_table(ds, x, "Y")) for x in ("X1", "X2")]
+        g1, g2 = (association_matrix(t).gamma for t in tables)
+        v1, v2 = (association_vector(t) for t in tables)
+        n_y = tables[0].counts.sum(axis=0)
+        alpha = make_weights("gk", p_y=n_y / n_y.sum())
         d = report.details
         assert d["max_gamma_diff"] == np.abs(g1 - g2).max()
         assert d["max_theta_diff"] == np.abs(v1.theta - v2.theta).max()
