@@ -211,7 +211,8 @@ def make_weights(scheme: str, p_y=None, custom=None) -> WeightVector:
 
 
 def tau(theta: AssociationVector, alpha: WeightVector):
-    """Weighted global association degree: alpha-weighted mean of the lifts.
+    """Weighted global association degree: alpha-weighted mean of the lifts,
+    exactly 1 where every lift is 1.
 
     A float; an array of one degree per row when ``theta`` stacks the
     vectors of several replicates along leading axes."""
@@ -219,15 +220,23 @@ def tau(theta: AssociationVector, alpha: WeightVector):
         raise DataError("weight vector length does not match response categories")
     # a row-by-column product per row: each sums as the 1-D dot does
     value = (theta.theta[..., None, :] @ alpha.alpha[:, None])[..., 0, 0]
+    # the weights sum to 1 only up to rounding
+    value = np.where((theta.theta == 1.0).all(axis=-1), 1.0, value)
     return float(value) if value.ndim == 0 else value
+
+
+def _column_marginal(j: JointLike) -> np.ndarray:
+    """The response marginal that named weights of a table come from: its
+    column sums over its total, as ``tau_joint`` weights the same variables."""
+    col = _table(j).sum(axis=0)
+    return col / col.sum()
 
 
 def tau_scheme(j: JointLike, scheme: str = "gk", custom=None) -> float:
     """Association degree of Y on X under a named weight scheme, weighted
     from the table's column marginal: ``tau_joint`` of the same variables."""
     th = association_vector(j)
-    col = _table(j).sum(axis=0)
-    return tau(th, make_weights(scheme, p_y=col / col.sum(), custom=custom))
+    return tau(th, make_weights(scheme, p_y=_column_marginal(j), custom=custom))
 
 
 def gk_tau_direct(j: JointLike) -> float:

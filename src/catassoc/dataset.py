@@ -21,7 +21,7 @@ import io
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import contains, itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -124,13 +124,19 @@ class Dataset:
             raise DataError("duplicate variable names")
         if records.dtype.kind not in "iu":
             raise DataError(f"record codes must be integers, not {records.dtype}")
-        # Checked at the input's own dtype: narrowed first, -1 would pass as 255.
         sizes = [v.size for v in variables]
-        bad = np.flatnonzero((records.min(axis=0) < 0) | (records.max(axis=0) >= sizes))
+        dtype = _code_dtype(sizes)
+        if records.dtype == dtype:  # laid out as stored first: columns reduce fast
+            records = np.asfortranarray(records)
+        # Checked at the input's own dtype: narrowed first, -1 would pass as 255.
+        bad = records.max(axis=0) >= sizes
+        if records.dtype.kind == "i":
+            bad |= records.min(axis=0) < 0
+        bad = np.flatnonzero(bad)
         if bad.size:
             raise DataError(f"record codes out of range for {names[bad[0]]!r}")
         self._variables = variables
-        self._records = _frozen(records, _code_dtype(sizes), order="F")
+        self._records = _frozen(records, dtype, order="F")
         self._index = {v.name: j for j, v in enumerate(variables)}
 
     @property
@@ -458,24 +464,50 @@ def _fold(ds: Dataset, names: Sequence[str]) -> tuple[np.ndarray, int]:
 
 
 def _pair_counts(keys: np.ndarray, n_keys: int, y: np.ndarray | None = None,
-                 n_y: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 n_y: int = 1, size: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Observed (cell, response) pairs of a composite in sorted key order, as
     :func:`composite` orders cells: each pair's count n_is, its cell's count
     n_i and its response code (0 without one).  ``keys`` lie in
-    ``range(n_keys)``; memory is linear in the records."""
-    keys = keys.astype(np.int64, copy=False)  # stored codes are narrow
+    ``range(n_keys)``; memory is linear in the records.
+
+    Without ``y``, ``keys`` may instead hold each record's (cell * n_y +
+    response) * size + code over a range ``n_keys * n_y * size`` that
+    :func:`_dense` counts, as :func:`_last_part_pairs` builds them: the
+    pairs of the cells cell * size + code of a composite whose last part
+    has ``size`` categories."""
     if not _dense(n_keys * n_y, keys.size):
         keys, n_keys = _compact(keys, n_keys)
     if y is not None:
-        keys = keys * n_y + y
-    if _dense(n_keys * n_y, keys.size):
-        n_is = np.bincount(keys)
+        keys = keys.astype(np.int64, copy=False) * n_y + y  # stored codes are narrow
+    if _dense(n_keys * n_y * size, keys.size):
+        n_is = np.bincount(keys, minlength=n_keys * n_y * size)
+        # (cell, response, code) counts in (cell, code, response) order
+        n_is = n_is.reshape(n_keys, n_y, size).transpose(0, 2, 1).ravel()
         pairs = np.flatnonzero(n_is)
         n_is = n_is[pairs]
     else:
         pairs, n_is = np.unique(keys, return_counts=True)
     cells, s = np.divmod(pairs, n_y)
     return n_is, np.bincount(cells, n_is).astype(np.int64)[cells], s
+
+
+def _last_part_pairs(keys: np.ndarray, n_keys: int, y: np.ndarray | None, n_y: int,
+                     size: int) -> Callable[[np.ndarray], tuple]:
+    """Counter of the :func:`_pair_counts` of the composite with cells
+    ``keys * size + x`` against ``y``, for each last part ``x`` of ``size``
+    categories; ``keys`` lie in ``range(n_keys)``, one per record.  Where
+    the pairs' range is dense, the key (cell * n_y + response) * size is
+    built once, in the narrowest unsigned dtype that holds the range, so a
+    part costs one add and one ``bincount``; the counter holds that key
+    until it is dropped."""
+    n_pairs = n_keys * n_y * size
+    if not _dense(n_pairs, keys.size):
+        return lambda x: _pair_counts(keys * size + x, n_keys * size, y, n_y)
+    lead = keys.astype(np.min_scalar_type(n_pairs))
+    if y is not None:
+        lead = lead * n_y + y
+    lead *= size
+    return lambda x: _pair_counts(lead + x, n_keys, n_y=n_y, size=size)
 
 
 def composite(ds: Dataset, names: Sequence[str]) -> CompositeVariable:

@@ -18,9 +18,11 @@ import numpy as np
 from .association import (
     AssociationMatrix,
     JointLike,
+    _column_marginal,
     association_matrix,
     association_vector,
-    tau_scheme,
+    make_weights,
+    tau,
 )
 from .equivalence import EquivalenceReport
 from .selection import SelectionTrace
@@ -61,10 +63,12 @@ def stable_json(obj) -> str:
 
 
 def association_report(j: JointLike) -> dict:
-    """Bundle matrix, vector and the three named degrees for one table or joint."""
+    """Bundle matrix, vector and the three named degrees for one table or joint.
+    The vector is computed once; each degree equals ``tau_scheme``'s."""
     gamma = association_matrix(j)
     theta = association_vector(j)
-    taus = {scheme: tau_scheme(j, scheme) for scheme in ("gk", "ew", "ipw")}
+    p_y = _column_marginal(j)
+    taus = {s: tau(theta, make_weights(s, p_y=p_y)) for s in ("gk", "ew", "ipw")}
     return {
         "y_domain": list(gamma.y_domain),
         "gamma": gamma.gamma.tolist(),

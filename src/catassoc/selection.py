@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .association import WeightVector, _pair_tau, make_weights
-from .dataset import Dataset, _compact, _fold, _pair_counts
+from .dataset import Dataset, _compact, _fold, _last_part_pairs, _pair_counts
 from .errors import DataError
 
 #: Default improvement threshold on exact (non-sampled) data.
@@ -114,25 +114,28 @@ def _forward_backward(ds: Dataset, candidates: list[str],
     :func:`_pair_counts` of its composite against ``y``.  Forward: add the
     candidate with the largest score (smallest if ``minimize``), ties to
     :func:`first_pick_tiebreak`, until the best one improves on the
-    current score (``start`` for no variables) by at most ``eps``; a
-    candidate is counted from the chosen composite's codes with it.
-    Backward: in reverse pick order, drop each variable whose removal
-    moves the score of the kept set by at most ``eps``.
+    current score (``start`` for no variables) by at most ``eps``.  A step
+    counts each candidate as the last part of the chosen composite
+    (:func:`_last_part_pairs`): one narrow key per distinct candidate
+    domain size, to which each candidate of that size adds its codes before
+    one ``bincount``.  Backward: in reverse pick order, drop each variable
+    whose removal moves the score of the kept set by at most ``eps``.
     """
     y_codes, n_y = (ds.codes(y), ds.var(y).size) if y is not None else (None, 1)
     chosen: list[str] = []
-    # No variables: every record in cell 0.  The zero is an int64, so adding
-    # a candidate's narrow stored codes to it widens them.
-    codes, n_cells = np.int64(0), 1
+    # No variables: every record in cell 0, one int64 zero for all of them.
+    # The chosen cells are int64, so a pick's narrow codes added to them widen.
+    codes, n_cells = np.broadcast_to(np.int64(0), ds.n_records), 1
     steps: list[ForwardStep] = []
     current = start
     remaining = list(candidates)
     while remaining:
-        scores = {}
-        for c in remaining:
-            size = ds.var(c).size
-            scores[c] = score_pairs(_pair_counts(codes * size + ds.codes(c),
-                                                 n_cells * size, y_codes, n_y))
+        scores = dict.fromkeys(remaining)
+        for size in dict.fromkeys(ds.var(c).size for c in remaining):  # one key at a time
+            count = _last_part_pairs(codes, n_cells, y_codes, n_y, size)
+            scores.update((c, score_pairs(count(ds.codes(c))))
+                          for c in remaining if ds.var(c).size == size)
+        del count  # free the step key before the pick is compacted
         best_val = min(scores.values()) if minimize else max(scores.values())
         tied = [c for c in remaining if scores[c] == best_val]
         pick = first_pick_tiebreak(ds, tied)
@@ -173,9 +176,10 @@ def select_basis(ds: Dataset, y: str,
     data where plug-in estimates carry noise.  Nothing bounds the
     composite's observed domain, and the plug-in degree over mostly
     singleton cells is inflated, so a near-unique column can be picked.
-    A forward step costs one count over the records per candidate, and
-    memory is linear in the records; every score, forward and backward,
-    equals ``tau_joint`` of its variable set, counted the same way.
+    A forward step costs one narrow add and one ``bincount`` over the
+    records per candidate (a sort where the step's pairs are too many to
+    count), and memory is linear in the records; every score, forward and
+    backward, equals ``tau_joint`` of its variable set bitwise.
     """
     if not eps_gain >= 0:
         raise DataError("eps_gain must be nonnegative")

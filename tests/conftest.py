@@ -269,6 +269,13 @@ def reference_forward_backward(ds, candidates, score_set, minimize, start,
                           metric=metric)
 
 
+def reference_structural(ds, eps):
+    """structural_basis with every candidate set scored by the slow scorer."""
+    return reference_forward_backward(
+        ds, list(ds.names), lambda vs: slow_ep(ds, vs),
+        minimize=True, start=1.0, eps=eps, metric="ep")
+
+
 def outcome(run):
     """The result of ``run()``, or the type and message of its data or
     numeric-domain error."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from catassoc import (
     ContingencyTable,
     DataError,
+    Dataset,
     NumericDomainError,
     association_matrix,
     association_vector,
@@ -399,8 +400,20 @@ class TestOneKernel:
         for x, k in (("X1", "x1"), ("X2", "x2")):
             value = tau_joint(ds, "Y", x)
             assert d[f"tau_alpha_{k}"] == value
-            # a determined pair's tau is exactly 1, the weights' sum nearly
-            assert d[f"tau_y_{k}"] == (1.0 if abs(value - 1.0) <= IDENTITY_ATOL else value)
+            assert d[f"tau_y_{k}"] == value
+
+    def test_determined_table_scores_exactly_one(self):
+        # X determines Y: every lift is exactly 1, and so is every degree,
+        # although the weights sum to 1 only up to rounding
+        rng = np.random.default_rng(14)
+        for _ in range(400):
+            m, k_x, k_y = (int(v) for v in rng.integers([8, 2, 2], [61, 6, 6]))
+            x = rng.permutation(np.arange(m) % k_x)
+            f = rng.permutation(np.arange(max(k_x, k_y)) % k_y)[:k_x]
+            ds = Dataset.from_label_columns({"X": list(map(str, x)), "Y": list(map(str, f[x]))})
+            for scheme in ("gk", "ew", "ipw"):
+                if ds.var("Y").size > 1:
+                    assert tau_joint(ds, "Y", "X", scheme) == 1.0, scheme
 
     def test_one_row_scores_exactly_zero(self):
         # one observed row, of counts or of probabilities in either layout

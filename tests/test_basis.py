@@ -22,7 +22,7 @@ from conftest import (
     coded_datasets,
     outcome,
     random_dataset,
-    reference_forward_backward,
+    reference_structural,
     reference_verify_basis,
     slow_cells,
     slow_ep,
@@ -169,13 +169,6 @@ class TestStructuralBasis:
     def test_bad_eps_rejected(self, eps):
         with pytest.raises(DataError, match="eps must be nonnegative"):
             structural_basis(planted_dataset(), eps=eps)
-
-
-def reference_structural(ds, eps):
-    """structural_basis with every candidate set scored by the slow scorer."""
-    return reference_forward_backward(
-        ds, list(ds.names), lambda vs: slow_ep(ds, vs),
-        minimize=True, start=1.0, eps=eps, metric="ep")
 
 
 class TestStructuralBasisAgainstEp:

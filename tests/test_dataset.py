@@ -279,11 +279,13 @@ class TestValueTypes:
     @pytest.mark.parametrize("build, given", [
         (lambda a: Dataset(_AB, a), np.asfortranarray([[0, 1], [1, -1]])),
         (lambda a: Dataset(_AB, a), np.asfortranarray([[0, 1], [2, 0]], np.uint8)),
+        (lambda a: Dataset(_AB, a), np.array([[0, 1], [2, 0]], np.uint8)),
         (lambda a: ContingencyTable("A", "B", ("a", "b"), ("u", "v"), a),
          np.array([[1, 2], [-3, 4]])),
         (lambda a: JointDistribution(a, ("a", "b"), ("u", "v")),
          np.array([[0.5, 0.5], [0.5, -0.5]])),
-    ], ids=["Dataset-int64", "Dataset-stored-dtype", "ContingencyTable", "JointDistribution"])
+    ], ids=["Dataset-int64", "Dataset-stored-dtype", "Dataset-stored-dtype-row-major",
+            "ContingencyTable", "JointDistribution"])
     def test_rejected_input_stays_writeable(self, build, given):
         # an accepted input of the stored dtype and layout is frozen in place
         with pytest.raises(DataError):

@@ -28,12 +28,13 @@ from catassoc import (
     make_weights,
     select_basis,
     split_validate,
+    structural_basis,
     tau,
     tau_joint,
 )
 
 from conftest import (outcome, reference_forward_backward, reference_population_joint,
-                      slow_cells, slow_tau, slow_weights)
+                      reference_structural, slow_cells, slow_tau, slow_weights)
 
 
 #: Labels of the largest domain below; a domain of k categories is a prefix.
@@ -163,6 +164,12 @@ class TestTopCodes:
                                          minimize=False, start=0.0, eps=1e-9, metric="tau")
         assert select_basis(ds, "Y", alpha="gk") == ref
 
+    @given(top_code_datasets(), st.sampled_from([0.0, 1e-9]))
+    @settings(max_examples=150, deadline=None)
+    def test_structural_basis_forward_scores(self, ds, eps):
+        # no response: a step's keys cell * size + code pass 255 or 65,535
+        assert structural_basis(ds, eps=eps) == reference_structural(ds, eps)
+
     @given(top_code_datasets(), st.integers(0, 2**16))
     @settings(max_examples=150, deadline=None)
     def test_split_validate_counts(self, ds, seed):
@@ -211,6 +218,22 @@ class TestObservedCodes:
         xs = ["X1", "X2"]
         assert np.array_equal(contingency(ds, xs, "Y").counts, reference_table(ds, xs, "Y"))
         assert tau_joint(ds, "Y", xs) == slow_tau(ds, "Y", xs, slow_weights(ds, "Y", "gk"))
+
+    def test_step_keys_at_scale(self):
+        # 25,000 records, parts of 300 categories: the structural search
+        # counts its second step's 90,000 keys in uint32, select_basis its
+        # first step's 900 in uint16 and sorts its second step's 270,000
+        rng = np.random.default_rng(14)
+        m = 25_000
+        ds = _dataset({"X1": (300, rng.integers(0, 300, m)),
+                       "X2": (300, rng.integers(0, 300, m)),
+                       "Y": (3, rng.permutation(np.arange(m) % 3))})
+        assert structural_basis(ds, eps=0.0) == reference_structural(ds, 0.0)
+        weights = slow_weights(ds, "Y", "gk")
+        ref = reference_forward_backward(ds, ["X1", "X2"],
+                                         lambda xs: slow_tau(ds, "Y", xs, weights),
+                                         minimize=False, start=0.0, eps=0.0, metric="tau")
+        assert select_basis(ds, "Y", alpha="gk", eps_gain=0.0) == ref
 
     @given(observed_code_datasets())
     @settings(max_examples=100, deadline=None)

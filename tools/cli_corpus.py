@@ -77,6 +77,13 @@ def _write_inputs(root: Path) -> dict[str, list[str]]:
     inputs[csv("determined.csv", ["X1", "X2", "Y"],
                [[f"p{i % 6}", f"q{(i % 6) * 7 % 6}", f"y{i % 3}"] for i in range(36)])] = \
         ["X1", "X2", "Y"]
+    # 150 categories in W: the first select step counts 3 x 150 keys, past
+    # 255, so the search counts both uint8 and uint16 step keys.
+    rng = np.random.default_rng(9)
+    w, a, b = rng.integers(0, [150, 3, 4], (2000, 3)).T
+    y = np.where(rng.random(2000) < 0.7, (w + a) % 3, rng.integers(0, 3, 2000))
+    csv("wide.csv", ["W", "A", "B", "Y"], ([f"w{p}", f"a{q}", f"b{r}", f"y{s}"]
+                                           for p, q, r, s in zip(w, a, b, y)))
     (root / "missing.csv").write_text("A,B,Y\na,,0\nb,x,1\n,y,0\na,x,1\nb,y,0\n",
                                       encoding="utf-8")
     inputs["missing.csv"] = ["A", "B", "Y"]
@@ -168,6 +175,10 @@ def corpus(inputs: dict[str, list[str]]) -> list[tuple[list[str], dict]]:
         ["nope"],
         [],
     ]
+    cmds += [["select", "-i", d + "wide.csv", "--response", "Y", "--weights", w, "--eps", e,
+              "--format", "json"] for w in ("gk", "ew", "ipw") for e in ("0", "0.01")]
+    cmds += [["basis", "-i", d + "wide.csv", *m, "--eps", e, "--format", "json"]
+             for m in ([], ["--minimal"]) for e in ("0", "1e-9")]
     for name in FIXTURE_COLUMNS:
         cmds += [["fixtures", "--name", name, "--format", f] for f in ("text", "json")]
     for x, y in (("Nope", "Risk"), ("Age", "Nope"), ("Risk", "Risk"), ("Age,Age", "Risk"),
