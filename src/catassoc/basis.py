@@ -88,9 +88,9 @@ def structural_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> SelectionTrace:
     by smaller resulting Ep, then smaller single-variable domain, then
     smaller column index); stop when no candidate decreases Ep by more
     than ``eps``.  Backward: in reverse pick order, drop variables whose
-    removal leaves Ep within ``eps``.  A forward step costs one count over
-    the records per candidate; every score, forward and backward, is
-    counted as :func:`ep` counts it and equals ``ep`` of that set.
+    removal leaves Ep within ``eps``.  A forward step counts its candidates
+    in groups, one count over the records per group; every score, forward
+    and backward, is counted as :func:`ep` counts it and equals ``ep``.
     """
     if not eps >= 0:
         raise DataError("eps must be nonnegative")

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .association import WeightVector, _pair_tau, make_weights
-from .dataset import Dataset, _compact, _fold, _last_part_pairs, _pair_counts
+from .dataset import Dataset, _compact, _fold, _pair_counts, _step_pairs
 from .errors import DataError
 
 #: Default improvement threshold on exact (non-sampled) data.
@@ -115,11 +115,11 @@ def _forward_backward(ds: Dataset, candidates: list[str],
     candidate with the largest score (smallest if ``minimize``), ties to
     :func:`first_pick_tiebreak`, until the best one improves on the
     current score (``start`` for no variables) by at most ``eps``.  A step
-    counts each candidate as the last part of the chosen composite
-    (:func:`_last_part_pairs`): one narrow key per distinct candidate
-    domain size, to which each candidate of that size adds its codes before
-    one ``bincount``.  Backward: in reverse pick order, drop each variable
-    whose removal moves the score of the kept set by at most ``eps``.
+    counts each candidate as the last part of the chosen composite, in
+    groups of candidates whose joint range is small enough to count at
+    once (:func:`_step_pairs`): one narrow key and one ``bincount`` per
+    group.  Backward: in reverse pick order, drop each variable whose
+    removal moves the score of the kept set by at most ``eps``.
     """
     y_codes, n_y = (ds.codes(y), ds.var(y).size) if y is not None else (None, 1)
     chosen: list[str] = []
@@ -130,12 +130,9 @@ def _forward_backward(ds: Dataset, candidates: list[str],
     current = start
     remaining = list(candidates)
     while remaining:
-        scores = dict.fromkeys(remaining)
-        for size in dict.fromkeys(ds.var(c).size for c in remaining):  # one key at a time
-            count = _last_part_pairs(codes, n_cells, y_codes, n_y, size)
-            scores.update((c, score_pairs(count(ds.codes(c))))
-                          for c in remaining if ds.var(c).size == size)
-        del count  # free the step key before the pick is compacted
+        parts = [(ds.codes(c), ds.var(c).size) for c in remaining]
+        scores = dict(zip(remaining, map(score_pairs, _step_pairs(
+            codes, n_cells, y_codes, n_y, parts)), strict=True))
         best_val = min(scores.values()) if minimize else max(scores.values())
         tied = [c for c in remaining if scores[c] == best_val]
         pick = first_pick_tiebreak(ds, tied)
@@ -176,10 +173,11 @@ def select_basis(ds: Dataset, y: str,
     data where plug-in estimates carry noise.  Nothing bounds the
     composite's observed domain, and the plug-in degree over mostly
     singleton cells is inflated, so a near-unique column can be picked.
-    A forward step costs one narrow add and one ``bincount`` over the
-    records per candidate (a sort where the step's pairs are too many to
-    count), and memory is linear in the records; every score, forward and
-    backward, equals ``tau_joint`` of its variable set bitwise.
+    A forward step costs one narrow key and one ``bincount`` over the
+    records per group of candidates whose joint (cell, response, values)
+    range is at most 2^16 (a sort for a candidate too wide to count), and
+    memory is linear in the records; every score, forward and backward,
+    equals ``tau_joint`` of its variable set bitwise.
     """
     if not eps_gain >= 0:
         raise DataError("eps_gain must be nonnegative")

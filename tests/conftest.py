@@ -141,6 +141,40 @@ def coded_datasets(draw):
     return Dataset(variables, records)
 
 
+#: Domain sizes of the :func:`mixed_domain_dataset` tables at scale.
+MIXED_SIZES = (300, 2, 3, 4, 5, 6, 7, 8, 30, 40)
+
+
+def mixed_domain_dataset(rng, m, sizes):
+    """Response ``Y`` of 3 categories and columns ``X0``, ``X1``, ... of
+    ``sizes`` categories, in a random column order.  ``Y`` leans on the
+    columns of the first two sizes, and the column of the last size may be
+    a relabeled copy of the first (so scores tie): a search takes several
+    steps."""
+    sizes = list(sizes)
+    cols = [rng.integers(0, k, m) for k in sizes]
+    if rng.random() < 0.5:
+        sizes[-1], cols[-1] = sizes[0], rng.permutation(sizes[0])[cols[0]]
+    y = np.where(rng.random(m) < 0.8, (cols[0] + cols[1]) % 3, rng.integers(0, 3, m))
+    order = rng.permutation(len(cols))
+    variables = [Variable("Y", ("0", "1", "2"))]
+    variables += [Variable(f"X{j}", tuple(map(str, range(sizes[i]))))
+                  for j, i in enumerate(order)]
+    return Dataset(variables, np.column_stack([y] + [cols[i] for i in order]))
+
+
+@st.composite
+def mixed_domain_datasets(draw):
+    """Tables of :func:`mixed_domain_dataset` with 30-400 records, 3-8
+    columns of 2-8 categories and 1-3 of 9-300: a forward step counts
+    several groups of small candidates, and a wide candidate alone, sorted
+    where its pairs are too many to count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(9, 300), min_size=1, max_size=3))
+    sizes += draw(st.lists(st.integers(2, 8), min_size=3, max_size=8))
+    return mixed_domain_dataset(rng, draw(st.integers(30, 400)), sizes)
+
+
 # Slow scorers: they share no encoding or counting code with the library,
 # only the kernels that turn a count table into a score.
 

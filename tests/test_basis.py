@@ -19,7 +19,10 @@ from catassoc import (
 from catassoc.exact import tau_exact
 
 from conftest import (
+    MIXED_SIZES,
     coded_datasets,
+    mixed_domain_dataset,
+    mixed_domain_datasets,
     outcome,
     random_dataset,
     reference_structural,
@@ -188,6 +191,19 @@ class TestStructuralBasisAgainstEp:
     def test_matches_reference(self, ds, eps):
         fast = outcome(lambda: structural_basis(ds, eps=eps))
         assert fast == outcome(lambda: reference_structural(ds, eps))
+
+    @given(mixed_domain_datasets(), st.sampled_from([0.0, 1e-9, 0.01]))
+    @settings(max_examples=200, deadline=None)
+    def test_grouped_steps_match_reference(self, ds, eps):
+        fast = outcome(lambda: structural_basis(ds, eps=eps))
+        assert fast == outcome(lambda: reference_structural(ds, eps))
+
+    def test_grouped_steps_match_reference_at_scale(self):
+        # 25,000 records, so up to 101,024 keys are counted: the 2^16 cap
+        # ends groups first (the second step's 300 cells x 30 x 8), candidates
+        # of 73,752 and 84,288 keys are counted alone and one of 316,080 sorted
+        ds = mixed_domain_dataset(np.random.default_rng(8), 25_000, MIXED_SIZES)
+        assert structural_basis(ds, eps=1e-4) == reference_structural(ds, 1e-4)
 
     def test_matches_reference_at_scale(self):
         rng = np.random.default_rng(18)

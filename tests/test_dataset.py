@@ -314,6 +314,19 @@ class TestCodeDtype:
         ds = Dataset(_AB, given)
         assert np.shares_memory(ds.records, given)
 
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_row_major_stored_dtype_laid_out_column_major(self, step):
+        # 10,000 rows, contiguous or every other one: copied in blocks of
+        # rows, the last one partial, and range-checked after the copy
+        given = np.random.default_rng(5).integers(0, 2, (10_000 * step, 2), np.uint8)[::step]
+        ds = Dataset(_AB, given)
+        assert ds.records.flags.f_contiguous and not np.shares_memory(ds.records, given)
+        assert np.array_equal(ds.records, given)
+        given[-1, 1] = 2
+        with pytest.raises(DataError, match="out of range for 'B'"):
+            Dataset(_AB, given)
+        assert given.flags.writeable
+
     def test_negative_code_does_not_wrap(self):
         # -1 as uint8 is 255, in range for 256 categories
         variables = [Variable("W", tuple(map(str, range(256))))]

@@ -33,8 +33,10 @@ from catassoc import (
     tau_joint,
 )
 
+from catassoc.dataset import _step_pairs
+
 from conftest import (outcome, reference_forward_backward, reference_population_joint,
-                      reference_structural, slow_cells, slow_tau, slow_weights)
+                      reference_structural, slow_cells, slow_tau, slow_weights, table_pairs)
 
 
 #: Labels of the largest domain below; a domain of k categories is a prefix.
@@ -263,3 +265,87 @@ class TestObservedCodes:
                                     ("tau_x1_x2", "X2", "X1"), ("tau_x2_x1", "X1", "X2")):
             ref = gk_tau_direct(joint_from_counts(reference_table(ds, given_, target)))
             assert d[key] == pytest.approx(ref, rel=1e-9, abs=1e-12), key
+
+
+class TestStepGroups:
+    """A forward step counts its candidates in groups whose joint (cell,
+    response, candidate values) range is at most 2^16, in the narrowest
+    key dtype: uint16 at exactly 2^16.  Records are enough to count past
+    the cap, so the cap, not the count limit, ends a group."""
+
+    @staticmethod
+    def _first_step(ds, y, names, monkeypatch):
+        """Pairs of each candidate of a first step, and (key dtype, range,
+        largest key) of each count over the records."""
+        counts, bincount = [], np.bincount
+
+        def spy(keys, weights=None, minlength=0):
+            if weights is None:
+                counts.append((keys.dtype, minlength, int(keys.max())))
+            return bincount(keys, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        keys = np.zeros(ds.n_records, np.int64)
+        y_codes, n_y = (ds.codes(y), ds.var(y).size) if y else (None, 1)
+        pairs = list(_step_pairs(keys, 1, y_codes, n_y,
+                                 [(ds.codes(nm), ds.var(nm).size) for nm in names]))
+        monkeypatch.undo()
+        return pairs, counts
+
+    @staticmethod
+    def _table(m, columns, seed):
+        """``m`` records of (name, size) columns, the last record holding
+        each column's top code."""
+        rng = np.random.default_rng(seed)
+        codes = {nm: (k, rng.integers(0, k, m)) for nm, k in columns}
+        for k, c in codes.values():
+            c[-1] = k - 1
+        return _dataset(codes)
+
+    @staticmethod
+    def _slow_pairs(ds, y, x):
+        n_y = ds.var(y).size if y else 1
+        y_codes = ds.codes(y).astype(np.int64) if y else 0
+        cells = slow_cells(ds, [x])
+        return table_pairs(np.bincount(cells * n_y + y_codes).reshape(-1, n_y))
+
+    def _check(self, ds, y, names, monkeypatch):
+        pairs, counts = self._first_step(ds, y, names, monkeypatch)
+        for nm, got in zip(names, pairs, strict=True):
+            assert all(map(np.array_equal, got, self._slow_pairs(ds, y, nm))), nm
+        if y is None:
+            assert structural_basis(ds, eps=0.0) == reference_structural(ds, 0.0)
+        else:
+            weights = slow_weights(ds, y, "gk")
+            ref = reference_forward_backward(ds, [nm for nm in ds.names if nm != y],
+                                             lambda xs: slow_tau(ds, y, xs, weights),
+                                             minimize=False, start=0.0, eps=0.0, metric="tau")
+            assert select_basis(ds, y, alpha="gk", eps_gain=0.0) == ref
+        return counts
+
+    @pytest.mark.parametrize("y, columns", [
+        (None, [("A", 256), ("B", 256)]),
+        ("Y", [("Y", 2), ("A", 128), ("B", 256)])])
+    def test_group_range_at_the_cap(self, y, columns, monkeypatch):
+        # 20,000 records count up to 81,024 keys; A and B fill 2^16 exactly
+        ds = self._table(20_000, columns, seed=1)
+        counts = self._check(ds, y, ["A", "B"], monkeypatch)
+        assert counts == [(np.uint16, 65536, 65535)]
+
+    @pytest.mark.parametrize("y, columns", [
+        (None, [("A", 256), ("B", 256), ("C", 2)]),
+        ("Y", [("Y", 2), ("A", 128), ("B", 256), ("C", 2)])])
+    def test_next_candidate_past_the_cap_starts_a_group(self, y, columns, monkeypatch):
+        # 40,000 records count up to 161,024 keys, but C would take the
+        # group to 2^17
+        ds = self._table(40_000, columns, seed=2)
+        counts = self._check(ds, y, ["A", "B", "C"], monkeypatch)
+        n_c = 2 * ds.var(y).size if y else 2
+        assert counts == [(np.uint16, 65536, 65535), (np.uint8, n_c, n_c - 1)]
+
+    @pytest.mark.parametrize("k, dtype", [(256, np.uint8), (65536, np.uint16)])
+    def test_lone_candidate_filling_its_key_dtype(self, k, dtype, monkeypatch):
+        # no cells and no response before it: the all-zero key is scaled by
+        # k, a factor past the key's dtype
+        ds = self._table(20_000, [("A", k)], seed=3)
+        assert self._check(ds, None, ["A"], monkeypatch) == [(dtype, k, k - 1)]

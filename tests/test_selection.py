@@ -22,8 +22,9 @@ from catassoc import (
     to_joint,
 )
 
-from conftest import (coded_datasets, outcome, random_dataset, reference_forward_backward,
-                      slow_tau, slow_weights)
+from conftest import (MIXED_SIZES, coded_datasets, mixed_domain_datasets, mixed_domain_dataset,
+                      outcome, random_dataset, reference_forward_backward, slow_tau,
+                      slow_weights)
 
 
 def dataset_with_cond_independence(rng, m=400):
@@ -307,3 +308,19 @@ class TestSelectBasisAgainstTauJoint:
         for eps in (0.0, 0.01):
             trace = select_basis(ds, "Y", eps_gain=eps)
             assert trace == reference_select(ds, "Y", None, eps)
+
+    @given(mixed_domain_datasets(), st.sampled_from(["gk", "ew", "ipw"]),
+           st.sampled_from([0.0, 1e-9, 0.01]))
+    @settings(max_examples=200, deadline=None)
+    def test_grouped_steps_match_reference(self, ds, alpha, eps):
+        fast = outcome(lambda: select_basis(ds, "Y", alpha=alpha, eps_gain=eps))
+        assert fast == outcome(lambda: reference_select(ds, "Y", alpha, eps))
+
+    @pytest.mark.parametrize("alpha", ["gk", "ew", "ipw"])
+    def test_grouped_steps_match_reference_at_scale(self, alpha):
+        # 25,000 records, so up to 101,024 keys are counted: the 2^16 cap
+        # ends groups first (a third step's 600 cells x 3 x 6 x 7 keys), a
+        # 72,000-key candidate is counted alone and the fourth step sorts
+        ds = mixed_domain_dataset(np.random.default_rng(8), 25_000, MIXED_SIZES)
+        trace = select_basis(ds, "Y", alpha=alpha, eps_gain=0.01)
+        assert trace == reference_select(ds, "Y", alpha, 0.01)

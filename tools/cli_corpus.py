@@ -14,9 +14,9 @@ differ and, for JSON reports, the fields that differ and by how much.  It
 exits 1 when any command differs.
 
 The corpus covers every subcommand and format, error paths, the five
-bundled fixtures, 60 seeded random CSVs and CSVs with a constant column:
-about 3,000 commands, recorded in about 13 s on a 2-core Xeon virtual
-machine.
+bundled fixtures, 60 seeded random CSVs, 3 wide ones and CSVs with a
+constant column: about 3,000 commands, recorded in about 20 s on a 2-core
+Xeon virtual machine.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ FIXTURE_COLUMNS = {
     "tenths": ["X1", "X2", "Y"],
 }
 N_GENERATED = 60
+N_WIDE = 3
 
 
 def _write_inputs(root: Path) -> dict[str, list[str]]:
@@ -84,6 +85,15 @@ def _write_inputs(root: Path) -> dict[str, list[str]]:
     y = np.where(rng.random(2000) < 0.7, (w + a) % 3, rng.integers(0, 3, 2000))
     csv("wide.csv", ["W", "A", "B", "Y"], ([f"w{p}", f"a{q}", f"b{r}", f"y{s}"]
                                            for p, q, r, s in zip(w, a, b, y)))
+    # 12-16 columns of 2-40 categories: select and basis steps count their
+    # candidates in several groups, and wide candidates alone.
+    for k in range(N_WIDE):
+        rng = np.random.default_rng(2000 + k)
+        sizes = rng.integers(2, 41, int(rng.integers(12, 17)))
+        cols = [rng.integers(0, s, 3000) for s in sizes]
+        cols[-1] = np.where(rng.random(3000) < 0.8, (cols[0] + cols[1]) % sizes[-1], cols[-1])
+        header = [f"V{j}" for j in range(len(cols) - 1)] + ["Y"]
+        csv(f"wide{k}.csv", header, ([f"c{v}" for v in r] for r in zip(*cols)))
     (root / "missing.csv").write_text("A,B,Y\na,,0\nb,x,1\n,y,0\na,x,1\nb,y,0\n",
                                       encoding="utf-8")
     inputs["missing.csv"] = ["A", "B", "Y"]
@@ -179,6 +189,12 @@ def corpus(inputs: dict[str, list[str]]) -> list[tuple[list[str], dict]]:
               "--format", "json"] for w in ("gk", "ew", "ipw") for e in ("0", "0.01")]
     cmds += [["basis", "-i", d + "wide.csv", *m, "--eps", e, "--format", "json"]
              for m in ([], ["--minimal"]) for e in ("0", "1e-9")]
+    for k in range(N_WIDE):
+        cmds += [["select", "-i", f"{d}wide{k}.csv", "--response", "Y", "--weights", w,
+                  "--eps", e, "--format", "json"]
+                 for w in ("gk", "ew", "ipw") for e in ("0", "0.01")]
+        cmds += [["basis", "-i", f"{d}wide{k}.csv", "--eps", e, "--format", "json"]
+                 for e in ("0", "1e-9")]
     for name in FIXTURE_COLUMNS:
         cmds += [["fixtures", "--name", name, "--format", f] for f in ("text", "json")]
     for x, y in (("Nope", "Risk"), ("Age", "Nope"), ("Risk", "Risk"), ("Age,Age", "Risk"),
