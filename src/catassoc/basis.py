@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .association import _determination
-from .dataset import Dataset, _compact, _fold, _pair_counts
+from .dataset import Dataset, _compact, _distinct_rows, _fold, _pair_counts
 from .errors import DataError
 from .selection import SelectionTrace, _forward_backward
 
@@ -113,7 +113,9 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9) -> BasisR
     (d) minimality: removing any single member breaks (a).
 
     Determined means tau >= 1 - ``eps`` for ``eps`` >= 0, exact at 0, and
-    0 or 1 means within ``eps``.  Memory is linear in the records.
+    0 or 1 means within ``eps``.  Every check runs over the distinct
+    records, each counted as often as it occurs: the counts, and so every
+    verdict, are those of the records.  Memory is linear in the records.
     """
     if not eps >= 0:
         raise DataError("eps must be nonnegative")
@@ -121,10 +123,11 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9) -> BasisR
     if not basis:
         raise DataError("empty basis")
     names = list(ds.names)
-    columns = [ds.codes(nm) for nm in names]
+    ds, w = _distinct_rows(ds)
     cells_b = _compact(*_fold(ds, basis))[0]
+    columns = [ds.codes(nm) for nm in names]
 
-    verdicts = [_determination(cells_b, c, eps) for c in columns]  # (a) and (c)
+    verdicts = [_determination(cells_b, c, eps, w) for c in columns]  # (a) and (c)
     determined = {nm: d for nm, (d, _, _) in zip(names, verdicts)}
     conditionals_01 = all(c01 for _, c01, _ in verdicts)
 
@@ -134,14 +137,14 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9) -> BasisR
     for _ in range(min(32, 2 ** len(names) - 1)):
         k = int(rng.integers(1, len(names) + 1))
         sub = [names[i] for i in sorted(rng.choice(len(names), size=k, replace=False))]
-        if not _determination(cells_b, _compact(*_fold(ds, sub))[0], eps)[0]:
+        if not _determination(cells_b, _compact(*_fold(ds, sub))[0], eps, w)[0]:
             subsets_ok = False
             break
 
     # (d) minimality; the composite of no variables is one cell
     reduced = (_compact(*_fold(ds, [nm for nm in basis if nm != v]))[0]
                if len(basis) > 1 else np.zeros_like(cells_b) for v in basis)
-    minimal = not any(all(_determination(cells, c, eps)[0] for c in columns)
+    minimal = not any(all(_determination(cells, c, eps, w)[0] for c in columns)
                       for cells in reduced)
 
     return BasisReport(tuple(basis), determined, subsets_ok, conditionals_01, minimal)

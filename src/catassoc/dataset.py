@@ -468,19 +468,38 @@ def _fold(ds: Dataset, names: Sequence[str]) -> tuple[np.ndarray, int]:
 
 
 def _pair_counts(keys: np.ndarray, n_keys: int, y: np.ndarray | None = None,
-                 n_y: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 n_y: int = 1, weights: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Observed (cell, response) pairs of a composite in sorted key order, as
     :func:`composite` orders cells: each pair's count n_is, its cell's count
     n_i and its response code (0 without one).  ``keys`` lie in
-    ``range(n_keys)``; memory is linear in the records."""
+    ``range(n_keys)``; memory is linear in the records.  A record of positive
+    integer ``weights`` counts as that many (exact while they sum below 2^53)."""
     if not _dense(n_keys * n_y, keys.size):
         keys, n_keys = _compact(keys, n_keys)
     if y is not None:
         keys = keys.astype(np.int64, copy=False) * n_y + y  # stored codes are narrow
     if _dense(n_keys * n_y, keys.size):
-        return _table_pairs(np.bincount(keys, minlength=n_keys * n_y), n_y)
-    pairs, n_is = np.unique(keys, return_counts=True)
+        n_is = np.bincount(keys, weights, minlength=n_keys * n_y)
+        return _table_pairs(n_is.astype(np.int64, copy=False), n_y)
+    if weights is None:
+        pairs, n_is = np.unique(keys, return_counts=True)
+    else:
+        pairs, inverse = np.unique(keys, return_inverse=True)
+        n_is = np.bincount(inverse, weights).astype(np.int64)
     return _table_pairs(n_is, n_y, pairs)
+
+
+def _distinct_rows(ds: Dataset) -> tuple[Dataset, np.ndarray | None]:
+    """The distinct records of ``ds``, in sorted code order, and how often
+    each occurs: every count over them, weighted so, is the count over
+    ``ds``.  Without a repeated record, ``ds`` itself and no weights."""
+    rows, n_rows = _compact(*_fold(ds, ds.names))
+    if n_rows == ds.n_records:
+        return ds, None
+    one = np.empty(n_rows, dtype=np.int64)
+    one[rows] = np.arange(rows.size)  # one record of each row
+    return ds.take(one), np.bincount(rows, minlength=n_rows)
 
 
 def _table_pairs(n_is: np.ndarray, n_y: int, pairs: np.ndarray | None = None):

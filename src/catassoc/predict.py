@@ -84,6 +84,8 @@ def _draw(cond: np.ndarray, u: np.ndarray, rows=0) -> np.ndarray:
     """
     cdf = np.cumsum(np.atleast_2d(cond), axis=1)
     cdf[:, -1] = 1.0
+    if np.ndim(rows) == 0:  # one row: a float search of its CDF is the same count
+        return np.searchsorted(cdf[rows], u, side="right")
     # Numpy orders complex numbers by real part, then imaginary part, so
     # the keys r + 1j*cdf[r] are sorted row after row and one search
     # places each u exactly within its own row, with no float offsets.

@@ -1,6 +1,7 @@
 """Structural basis discovery via the concentration functional."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from catassoc import (
     structural_basis,
     verify_basis,
 )
+from catassoc import basis as basis_module
+from catassoc import dataset as dataset_module
 from catassoc.exact import tau_exact
 
 from conftest import (
@@ -351,6 +354,98 @@ class TestVerifyBasisCounts:
             tracemalloc.stop()
         assert peak < 200 * 2**20
         assert report.passed
+
+
+def record_verdicts(ds, basis, eps):
+    """verify_basis over every record, one count each: the path the
+    distinct weighted rows must match bit for bit."""
+    with mock.patch.object(basis_module, "_distinct_rows", lambda d: (d, None)):
+        return verify_basis(ds, basis, eps=eps)
+
+
+def check_report(ds, basis, eps):
+    """verify_basis against the record-level path, against the dense
+    reference for eps > 0 and against exact determination at eps 0."""
+    report = verify_basis(ds, basis, eps=eps)
+    assert report == record_verdicts(ds, basis, eps)
+    if eps > 0:
+        assert report == reference_verify_basis(ds, basis, eps)
+    else:  # tau is exactly 1 when every observed cell holds one value
+        cells = slow_cells(ds, basis)
+        assert report.determined == {
+            nm: bool(((slow_table(cells, ds.codes(nm)) > 0).sum(axis=1) == 1).all())
+            for nm in ds.names}
+    return report
+
+
+class TestVerifyBasisDistinctRows:
+    """verify_basis counts the distinct records, each weighted by how often
+    it occurs; every count, and so the report, is that of the records."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_admin_tables(self, seed):
+        ds = admin_dataset(seed)
+        assert dataset_module._distinct_rows(ds)[1] is not None  # rows repeat
+        for basis in (["B1", "B2", "B3", "B4"], ["B1", "B2", "B3"], ["D2", "D3"]):
+            for eps in (0.0, 1e-9, 0.0137):
+                check_report(ds, basis, eps)
+
+    @given(coded_datasets(), st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_coded_rows(self, ds, rnd, data):
+        reps = data.draw(st.lists(st.integers(1, 4), min_size=ds.n_records,
+                                  max_size=ds.n_records))
+        order = data.draw(st.permutations(range(sum(reps))))
+        ds = ds.take(np.repeat(np.arange(ds.n_records), reps)[order])
+        basis = rnd.sample(list(ds.names), rnd.randint(1, len(ds.names)))
+        for b in (basis, list(ds.names), basis[:-1] or list(ds.names)[:1]):
+            for eps in (0.0, 1e-9, 0.0137):
+                check_report(ds, b, eps)
+
+    def test_all_distinct_table_takes_the_record_path(self):
+        ds = admin_dataset(3).take(np.arange(300))
+        ds = Dataset(ds.variables + (Variable("ID", tuple(map(str, range(300)))),),
+                     np.column_stack([ds.records, np.arange(300)]))
+        assert dataset_module._distinct_rows(ds) == (ds, None)
+        seen = []
+
+        def spy(cells, target, eps, weights=None):
+            seen.append(weights)
+            return determination(cells, target, eps, weights)
+
+        determination = basis_module._determination
+        with mock.patch.object(basis_module, "_determination", spy):
+            for basis in (["ID"], ["B1", "B2", "B3", "B4"], ["D2", "D3"]):
+                for eps in (0.0, 1e-9, 0.0137):
+                    check_report(ds, basis, eps)
+        assert seen and all(w is None for w in seen)
+
+    def test_one_fold_over_the_records(self):
+        ds = admin_dataset(5)
+        sizes = []
+
+        def spy(d, names):
+            sizes.append(d.n_records)
+            return fold(d, names)
+
+        fold = dataset_module._fold
+        with mock.patch.object(dataset_module, "_fold", spy), \
+                mock.patch.object(basis_module, "_fold", spy):
+            assert verify_basis(ds, ["B1", "B2", "B3", "B4"], eps=0.0).passed
+        distinct = dataset_module._distinct_rows(ds)[0].n_records
+        assert distinct < ds.n_records
+        assert sizes.count(ds.n_records) == 1 and len(sizes) > 30
+        assert set(sizes) == {ds.n_records, distinct}
+
+    @pytest.mark.parametrize("basis, message", [
+        (["B1", "Nope"], "unknown variable 'Nope'"),
+        (["B1", "B1"], "composite parts must be distinct"),
+        ([], "empty basis"),
+    ])
+    def test_bad_basis_rejected(self, basis, message):
+        # Bad eps: TestVerifyBasis.test_bad_eps_rejected
+        with pytest.raises(DataError, match=message):
+            verify_basis(admin_dataset(5), basis)
 
 
 class TestMinimalBasis:

@@ -27,7 +27,7 @@ from catassoc import (
     read_csv,
     to_joint,
 )
-from catassoc.dataset import _pair_counts
+from catassoc.dataset import _dense, _pair_counts
 from catassoc.fixtures import loan_dataset
 
 from conftest import coded_datasets, random_dataset
@@ -480,3 +480,27 @@ class TestPairCountsAgainstUnique:
         assert s.tolist() == pairs[:, 1].tolist()
         assert n_i.dtype == np.int64
         assert n_i.tolist() == cell_counts[np.searchsorted(cells, pairs[:, 0])].tolist()
+
+
+class TestWeightedPairCounts:
+    """A record of weight w counts as w records: the weighted count of a
+    few keys equals the count of the keys repeated by their weights."""
+
+    @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 6), st.integers(1, 5)),
+                    min_size=1, max_size=80),
+           st.sampled_from([(61, 7), (61, 2**30), (2**40, 7), (2**40, 2**30)]),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_repeated_records(self, rows, ranges, with_y):
+        n_keys, n_y = ranges if with_y else (ranges[0], 1)
+        keys = np.array([k for k, _, _ in rows], dtype=np.int64) * ((n_keys - 1) // 60)
+        y = np.array([v for _, v, _ in rows], dtype=np.int64) * ((n_y - 1) // 6)
+        w = np.array([c for _, _, c in rows], dtype=np.int64)
+        # Counted over the observed cells, a response range of 2^30 is
+        # still too wide, so those pairs are sorted; all others are counted.
+        assert _dense(np.unique(keys).size * n_y, keys.size) == (n_y < 2**30)
+        got = _pair_counts(keys, n_keys, y if with_y else None, n_y, weights=w)
+        ref = _pair_counts(np.repeat(keys, w), n_keys,
+                           np.repeat(y, w) if with_y else None, n_y)
+        assert [a.tolist() for a in got] == [a.tolist() for a in ref]
+        assert got[0].dtype == got[1].dtype == np.int64

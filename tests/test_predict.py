@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catassoc import (
     DataError,
@@ -209,6 +211,21 @@ class TestDraw:
             cond = self.random_rows(rng, 1, n_cat)[0]
             u = self.queries(rng, cond, np.zeros(n, dtype=int), n)
             assert (_draw(cond, u) == slow_draw(cond, u, 0)).all()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_one_row_equals_complex_key_search(self, seed):
+        # A scalar row is searched on its float CDF; an array of rows takes
+        # the complex-key search.  Zero categories, flat CDF prefixes, u = 0.0
+        # and u on a CDF entry are all drawn.
+        rng = np.random.default_rng(seed)
+        n_rows, n_cat, n = (int(v) for v in rng.integers(1, 12, 3))
+        cond = self.random_rows(rng, n_rows, n_cat)
+        r = int(rng.integers(0, n_rows))
+        u = self.queries(rng, cond, np.full(n, r), n)
+        got = _draw(cond, u, r)
+        assert got.dtype == np.intp
+        assert got.tolist() == _draw(cond, u, np.full(n, r)).tolist()
 
     def test_zero_never_selects_an_empty_category(self):
         cond = np.array([[0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])

@@ -14,8 +14,8 @@ differ and, for JSON reports, the fields that differ and by how much.  It
 exits 1 when any command differs.
 
 The corpus covers every subcommand and format, error paths, the five
-bundled fixtures, 60 seeded random CSVs, 3 wide ones and CSVs with a
-constant column: about 3,000 commands, recorded in about 20 s on a 2-core
+bundled fixtures, 60 seeded random CSVs, 3 wide ones, two administrative
+ones with many repeated records and CSVs with a constant column: about 3,000 commands, recorded in about 20 s on a 2-core
 Xeon virtual machine.
 """
 
@@ -94,6 +94,18 @@ def _write_inputs(root: Path) -> dict[str, list[str]]:
         cols[-1] = np.where(rng.random(3000) < 0.8, (cols[0] + cols[1]) % sizes[-1], cols[-1])
         header = [f"V{j}" for j in range(len(cols) - 1)] + ["Y"]
         csv(f"wide{k}.csv", header, ([f"c{v}" for v in r] for r in zip(*cols)))
+    # Administrative tables: three base columns and three columns derived
+    # from them, 3,000 records over at most 120 distinct rows.  In
+    # admin_bad.csv one record breaks D2, so D2 is determined only within eps.
+    rng = np.random.default_rng(11)
+    b1, b2, b3 = rng.integers(0, [5, 4, 6], (3000, 3)).T
+    d2 = (b1 + b3) % 3
+    bad = d2.copy()
+    bad[1717] = (bad[1717] + 1) % 3
+    for name, col in (("admin.csv", d2), ("admin_bad.csv", bad)):
+        csv(name, ["B1", "B2", "B3", "D1", "D2", "D3"],
+            ([f"b{p}", f"c{q}", f"e{r}", f"d{s}", f"f{t}", f"g{v}"] for p, q, r, s, t, v
+             in zip(b1, b2, b3, b1 * 4 + b2, col, np.maximum(b2, b3))))
     (root / "missing.csv").write_text("A,B,Y\na,,0\nb,x,1\n,y,0\na,x,1\nb,y,0\n",
                                       encoding="utf-8")
     inputs["missing.csv"] = ["A", "B", "Y"]
@@ -189,6 +201,9 @@ def corpus(inputs: dict[str, list[str]]) -> list[tuple[list[str], dict]]:
               "--format", "json"] for w in ("gk", "ew", "ipw") for e in ("0", "0.01")]
     cmds += [["basis", "-i", d + "wide.csv", *m, "--eps", e, "--format", "json"]
              for m in ([], ["--minimal"]) for e in ("0", "1e-9")]
+    cmds += [["basis", "-i", d + name, *m, "--eps", e, "--format", f]
+             for name in ("admin.csv", "admin_bad.csv") for m in ([], ["--minimal"])
+             for e in ("0", "1e-9", "0.01") for f in ("text", "json")]
     for k in range(N_WIDE):
         cmds += [["select", "-i", f"{d}wide{k}.csv", "--response", "Y", "--weights", w,
                   "--eps", e, "--format", "json"]
