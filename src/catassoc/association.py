@@ -299,25 +299,26 @@ def _pair_tau(pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 
 def _determination(cells: np.ndarray, target: np.ndarray, eps: float,
-                   weights: np.ndarray | None = None) -> tuple[bool, bool, float]:
+                   weights: np.ndarray | None = None) -> tuple[bool, bool, float, bool]:
     """Whether codes ``target`` are a function of composite codes ``cells``:
     Goodman-Kruskal tau >= 1 - eps, every conditional probability within
-    ``eps`` of 0 or 1, and tau itself, from the observed (cell, value) pairs
-    only.  Tau is exactly 1 when every cell holds one value; that decides eps 0.
-    A record of integer ``weights`` counts as that many, so the distinct rows
-    weighted by their counts give the records' verdicts and tau in memory
-    linear in the records."""
+    ``eps`` of 0 or 1, tau itself, and whether every cell holds one value,
+    from the observed (cell, value) pairs only.  Tau is exactly 1 when every
+    cell holds one value, an integer test that decides eps 0.  A record of
+    integer ``weights`` counts as that many, so the distinct rows weighted by
+    their counts give the records' verdicts and tau in memory linear in the
+    records."""
     n_is, n_i, t = _pair_counts(cells, int(cells.max()) + 1, target, int(target.max()) + 1,
                                 weights)
     cond = n_is / n_i
     conditionals_01 = bool(np.all((cond <= eps) | (cond >= 1.0 - eps)))
     if np.array_equal(n_is, n_i):
-        return True, conditionals_01, 1.0
+        return True, conditionals_01, 1.0, True
     s, n_t = _compact(t, int(t.max()) + 1)  # over the observed target values
     # The pairs' total is the record count, or the weights' sum.
     alpha = make_weights("gk", p_y=np.bincount(s, n_is) / n_is.sum())
     tau_t = _pair_tau((n_is, n_i, s), range(n_t), alpha)
-    return bool(eps > 0 and tau_t >= 1.0 - eps), conditionals_01, tau_t
+    return bool(eps > 0 and tau_t >= 1.0 - eps), conditionals_01, tau_t, False
 
 
 def gini(p_y) -> GiniStats:

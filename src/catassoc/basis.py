@@ -89,18 +89,21 @@ def structural_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> SelectionTrace:
     smaller column index); stop when no candidate decreases Ep by more
     than ``eps``.  Backward: in reverse pick order, drop variables whose
     removal leaves Ep within ``eps``.  A forward step counts its candidates
-    in groups, one count over the records per group; every score, forward
-    and backward, is counted as :func:`ep` counts it and equals ``ep``.
+    in groups, one count per group.  The counts run over the distinct
+    records, each weighted by how often it occurs, when they are at most
+    half the records: every (cell, value) count is that of the records, so
+    every score, forward and backward, equals :func:`ep` bitwise.
     """
     if not eps >= 0:
         raise DataError("eps must be nonnegative")
     names = list(ds.names)
     if not names:
         raise DataError("dataset has no variables")
+    rows, w = _distinct_rows(ds)
     # Ep of no variables is 1: all mass in one cell.
     return _forward_backward(
-        ds, names, _pair_ep, None,
-        minimize=True, start=1.0, eps=eps, metric="ep")
+        rows, names, _pair_ep, None,
+        minimize=True, start=1.0, eps=eps, metric="ep", weights=w)
 
 
 def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9) -> BasisReport:
@@ -113,8 +116,10 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9) -> BasisR
     (d) minimality: removing any single member breaks (a).
 
     Determined means tau >= 1 - ``eps`` for ``eps`` >= 0, exact at 0, and
-    0 or 1 means within ``eps``.  Every check runs over the distinct
-    records, each counted as often as it occurs: the counts, and so every
+    0 or 1 means within ``eps``.  When every basis cell holds one value of
+    every variable, it holds one value of every composite of them too, so
+    (b) holds and no subset is drawn.  The checks count the distinct
+    records as :func:`structural_basis` does: the counts, and so every
     verdict, are those of the records.  Memory is linear in the records.
     """
     if not eps >= 0:
@@ -128,18 +133,19 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9) -> BasisR
     columns = [ds.codes(nm) for nm in names]
 
     verdicts = [_determination(cells_b, c, eps, w) for c in columns]  # (a) and (c)
-    determined = {nm: d for nm, (d, _, _) in zip(names, verdicts)}
-    conditionals_01 = all(c01 for _, c01, _ in verdicts)
+    determined = {nm: v[0] for nm, v in zip(names, verdicts)}
+    conditionals_01 = all(v[1] for v in verdicts)
 
-    # (b) random subsets as composite responses
-    rng = np.random.default_rng(0)
+    # (b) random subsets as composite responses, implied by exact (a)
     subsets_ok = True
-    for _ in range(min(32, 2 ** len(names) - 1)):
-        k = int(rng.integers(1, len(names) + 1))
-        sub = [names[i] for i in sorted(rng.choice(len(names), size=k, replace=False))]
-        if not _determination(cells_b, _compact(*_fold(ds, sub))[0], eps, w)[0]:
-            subsets_ok = False
-            break
+    if not all(v[3] for v in verdicts):
+        rng = np.random.default_rng(0)
+        for _ in range(min(32, 2 ** len(names) - 1)):
+            k = int(rng.integers(1, len(names) + 1))
+            sub = [names[i] for i in sorted(rng.choice(len(names), size=k, replace=False))]
+            if not _determination(cells_b, _compact(*_fold(ds, sub))[0], eps, w)[0]:
+                subsets_ok = False
+                break
 
     # (d) minimality; the composite of no variables is one cell
     reduced = (_compact(*_fold(ds, [nm for nm in basis if nm != v]))[0]
@@ -155,16 +161,24 @@ def minimal_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> tuple[str, ...]:
 
     Exponential in the variable count; refused above 20 variables.  The
     greedy :func:`structural_basis` is the default deliverable; this
-    exists for when a provably smallest basis matters.
+    exists for when a provably smallest basis matters.  A subset is
+    accepted when its Ep is within ``eps`` of the full set's, counted over
+    the distinct records as :func:`structural_basis` counts.  At ``eps`` 0
+    the test is exact: the subset has as many observed cells as the full
+    set, since Ep strictly drops whenever a cell splits.
     """
     if not eps >= 0:
         raise DataError("eps must be nonnegative")
     names = list(ds.names)
     if len(names) > 20:
         raise DataError("exhaustive basis search is limited to 20 variables")
-    full = ep(ds, names).value
+    rows, w = _distinct_rows(ds)
+    full = _pair_counts(*_fold(rows, names), weights=w)
+    n_full, ep_full = full[0].size, _pair_ep(full)
     for k in range(1, len(names)):
         for sub in itertools.combinations(names, k):
-            if abs(ep(ds, list(sub)).value - full) <= eps:
-                return tuple(sub)
+            pairs = _pair_counts(*_fold(rows, sub), weights=w)
+            if (pairs[0].size == n_full if eps == 0
+                    else abs(_pair_ep(pairs) - ep_full) <= eps):
+                return sub
     return tuple(names)

@@ -142,6 +142,7 @@ class Dataset:
         self._variables = variables
         self._records = _frozen(records, dtype, order="F")
         self._index = {v.name: j for j, v in enumerate(variables)}
+        self._distinct = None  # see _distinct_rows
 
     @property
     def variables(self) -> tuple[Variable, ...]:
@@ -195,6 +196,7 @@ class Dataset:
         records.setflags(write=False)
         sub = object.__new__(Dataset)
         sub._variables, sub._records, sub._index = self._variables, records, self._index
+        sub._distinct = None
         return sub
 
     @classmethod
@@ -447,11 +449,14 @@ def _compact(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
     return codes, observed.size
 
 
-def _fold(ds: Dataset, names: Sequence[str]) -> tuple[np.ndarray, int]:
+def _fold(ds: Dataset, names: Sequence[str],
+          most: int | None = None) -> tuple[np.ndarray, int] | None:
     """Mixed-radix key of each record's codes over ``names``, and the key
     range.  Keys sort as the code tuples do.  The key is re-ranked by
     :func:`_compact` only when the next part would make its range too
-    large to count; the cost is a few passes over the records per part."""
+    large to count; the cost is a few passes over the records per part.
+    None once a re-ranked prefix of ``names`` has more than ``most``
+    observed keys: the whole composite has as many or more."""
     names = list(names)
     if not names:
         raise DataError("composite needs at least one variable")
@@ -462,6 +467,8 @@ def _fold(ds: Dataset, names: Sequence[str]) -> tuple[np.ndarray, int]:
     for nm, size in zip(names[1:], sizes[1:]):
         if not _dense(n_keys * size, ds.n_records):
             keys, n_keys = _compact(keys, n_keys)
+            if most is not None and n_keys > most:
+                return None
         keys = keys * size + ds.codes(nm)
         n_keys *= size
     return keys, n_keys
@@ -493,13 +500,23 @@ def _pair_counts(keys: np.ndarray, n_keys: int, y: np.ndarray | None = None,
 def _distinct_rows(ds: Dataset) -> tuple[Dataset, np.ndarray | None]:
     """The distinct records of ``ds``, in sorted code order, and how often
     each occurs: every count over them, weighted so, is the count over
-    ``ds``.  Without a repeated record, ``ds`` itself and no weights."""
-    rows, n_rows = _compact(*_fold(ds, ds.names))
-    if n_rows == ds.n_records:
-        return ds, None
-    one = np.empty(n_rows, dtype=np.int64)
-    one[rows] = np.arange(rows.size)  # one record of each row
-    return ds.take(one), np.bincount(rows, minlength=n_rows)
+    ``ds``.  Unless they are at most half the records, ``ds`` itself and no
+    weights: a weighted ``bincount`` costs about 2.5 times an unweighted one
+    (1M uint16 keys: 7.3 against 2.9 ms, 2-core Xeon VM), and the fold stops
+    at the first prefix of the columns with more rows than that.  Folded once
+    per dataset and kept on it, as its records are frozen; a
+    :meth:`Dataset.take` child folds its own."""
+    if ds._distinct is None:
+        ds._distinct = None, None  # not ``ds``: no reference cycle
+        folded = _fold(ds, ds.names, most=ds.n_records // 2)
+        if folded is not None:
+            rows, n_rows = _compact(*folded)
+            if 2 * n_rows <= ds.n_records:
+                one = np.empty(n_rows, dtype=np.int64)
+                one[rows] = np.arange(rows.size)  # one record of each row
+                ds._distinct = ds.take(one), _frozen(np.bincount(rows), np.int64)
+    rows, weights = ds._distinct
+    return (ds if rows is None else rows), weights
 
 
 def _table_pairs(n_is: np.ndarray, n_y: int, pairs: np.ndarray | None = None):
@@ -520,10 +537,12 @@ _GROUP_CAP = 2**16
 
 
 def _step_pairs(keys: np.ndarray, n_keys: int, y: np.ndarray | None, n_y: int,
-                parts: list[tuple[np.ndarray, int]]) -> Iterator[tuple]:
+                parts: list[tuple[np.ndarray, int]],
+                weights: np.ndarray | None = None) -> Iterator[tuple]:
     """The :func:`_pair_counts` of the composite with cells ``keys * size +
     x`` against ``y``, for each candidate ``(x, size)`` of ``parts`` in turn;
-    ``keys`` lie in ``range(n_keys)``.  A group of candidates grows while its
+    ``keys`` lie in ``range(n_keys)`` and records count by ``weights`` as in
+    :func:`_pair_counts`.  A group of candidates grows while its
     (cell, response, x_1, ..., x_k) range is countable and within
     :data:`_GROUP_CAP`; its key ``((cell * n_y + response) * s_1 + x_1) *
     s_2 ...`` is built in place, in the narrowest dtype holding the range,
@@ -537,13 +556,14 @@ def _step_pairs(keys: np.ndarray, n_keys: int, y: np.ndarray | None, n_y: int,
         group, i = parts[i:j], j
         if not _dense(n, keys.size):
             x, size = group[0]
-            yield _pair_counts(keys * size + x, n_keys * size, y, n_y)
+            yield _pair_counts(keys * size + x, n_keys * size, y, n_y, weights)
             continue
         key = keys.astype(np.min_scalar_type(n - 1))
         for x, size in [(y, n_y)] * (y is not None) + group:
             key *= min(size, n - 1)  # only an all-zero key meets size == n
             key += x
-        table = np.bincount(key, minlength=n).reshape(n_keys, n_y, *(s for _, s in group))
+        table = np.bincount(key, weights, minlength=n).astype(np.int64, copy=False)
+        table = table.reshape(n_keys, n_y, *(s for _, s in group))
         del key  # not held while the candidates are scored
         for k in range(2, table.ndim):
             others = tuple(a for a in range(2, table.ndim) if a != k)

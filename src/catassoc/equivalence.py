@@ -107,8 +107,8 @@ def equivalence_levels(ds: Dataset, x1: str, x2: str, y: str,
     # y given x1, y given x2, x1 given x2, x2 given x1
     verdicts = [_determination(ds.codes(given), ds.codes(target), tol)
                 for given, target in ((x1, y), (x2, y), (x2, x1), (x1, x2))]
-    y_x1, y_x2, x1_x2, x2_x1 = (d for d, _, _ in verdicts)
-    tau_y_x1, tau_y_x2, tau_x1_x2, tau_x2_x1 = (t for _, _, t in verdicts)
+    y_x1, y_x2, x1_x2, x2_x1 = (v[0] for v in verdicts)
+    tau_y_x1, tau_y_x2, tau_x1_x2, tau_x2_x1 = (v[2] for v in verdicts)
     tables = [contingency(ds, x, y) for x in (x1, x2)]
     if exact:
         counts = [t.counts for t in tables]

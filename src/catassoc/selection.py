@@ -107,7 +107,7 @@ def first_pick_tiebreak(ds: Dataset, candidates: Sequence[str]) -> str:
 def _forward_backward(ds: Dataset, candidates: list[str],
                       score_pairs: Callable[[tuple], float],
                       y: str | None, minimize: bool, start: float, eps: float,
-                      metric: str) -> SelectionTrace:
+                      metric: str, weights: np.ndarray | None = None) -> SelectionTrace:
     """Greedy search of :func:`select_basis` and :func:`structural_basis`.
 
     Every variable set is scored by ``score_pairs`` on the
@@ -119,7 +119,8 @@ def _forward_backward(ds: Dataset, candidates: list[str],
     groups of candidates whose joint range is small enough to count at
     once (:func:`_step_pairs`): one narrow key and one ``bincount`` per
     group.  Backward: in reverse pick order, drop each variable whose
-    removal moves the score of the kept set by at most ``eps``.
+    removal moves the score of the kept set by at most ``eps``.  Records
+    count by ``weights`` as in :func:`_pair_counts`.
     """
     y_codes, n_y = (ds.codes(y), ds.var(y).size) if y is not None else (None, 1)
     chosen: list[str] = []
@@ -132,7 +133,7 @@ def _forward_backward(ds: Dataset, candidates: list[str],
     while remaining:
         parts = [(ds.codes(c), ds.var(c).size) for c in remaining]
         scores = dict(zip(remaining, map(score_pairs, _step_pairs(
-            codes, n_cells, y_codes, n_y, parts)), strict=True))
+            codes, n_cells, y_codes, n_y, parts, weights)), strict=True))
         best_val = min(scores.values()) if minimize else max(scores.values())
         tied = [c for c in remaining if scores[c] == best_val]
         pick = first_pick_tiebreak(ds, tied)
@@ -152,7 +153,7 @@ def _forward_backward(ds: Dataset, candidates: list[str],
         if len(kept) <= 1:
             break
         trial = [nm for nm in kept if nm != v]
-        val = score_pairs(_pair_counts(*_fold(ds, trial), y_codes, n_y))
+        val = score_pairs(_pair_counts(*_fold(ds, trial), y_codes, n_y, weights))
         if abs(current - val) <= eps:
             kept = trial
             pruned.append(v)

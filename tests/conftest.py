@@ -224,12 +224,14 @@ def slow_table(cells, target):
 
 def slow_determination(cells, target, eps):
     """Goodman-Kruskal tau >= 1 - eps, and every conditional within eps
-    of 0 or 1, from the dense table of ``target`` given ``cells``."""
+    of 0 or 1, from the dense table of ``target`` given ``cells``.  A table
+    with one value per row is determined at any eps, also at 0, where a
+    float tau of such a table may fall an ulp short of 1."""
     counts = slow_table(cells, target)
     cond = counts / counts.sum(axis=1, keepdims=True)
     conditionals_01 = bool(np.all((cond <= eps) | (cond >= 1.0 - eps)))
-    determined = (counts.shape[1] < 2
-                  or gk_tau_direct(joint_from_counts(counts)) >= 1.0 - eps)
+    determined = (counts.shape[1] < 2 or bool(((counts > 0).sum(axis=1) == 1).all())
+                  or (eps > 0 and gk_tau_direct(joint_from_counts(counts)) >= 1.0 - eps))
     return determined, conditionals_01
 
 
@@ -249,8 +251,8 @@ def reference_population_joint(pop, xs, y):
 
 
 def reference_verify_basis(ds, basis, eps, subset_samples=32, seed=0):
-    """verify_basis from dense tables over np.unique cells: the slow path
-    the pair counts must match for eps > 0."""
+    """verify_basis from dense tables over np.unique cells, always drawing
+    the subsets: the slow path the pair counts must match."""
     names = list(ds.names)
     cells_b = slow_cells(ds, basis)
     verdicts = [slow_determination(cells_b, ds.codes(nm), eps) for nm in names]

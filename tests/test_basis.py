@@ -1,5 +1,7 @@
 """Structural basis discovery via the concentration functional."""
 
+import itertools
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -19,6 +21,7 @@ from catassoc import (
 )
 from catassoc import basis as basis_module
 from catassoc import dataset as dataset_module
+from catassoc import selection as selection_module
 from catassoc.exact import tau_exact
 
 from conftest import (
@@ -356,6 +359,48 @@ class TestVerifyBasisCounts:
         assert report.passed
 
 
+def repeating_admin_dataset(seed):
+    """:func:`admin_dataset`, each record twice where over half its records
+    are distinct, so the distinct rows carry weights."""
+    ds = admin_dataset(seed)
+    if dataset_module._distinct_rows(ds)[1] is None:
+        ds = ds.take(np.repeat(np.arange(ds.n_records), 2))
+    return ds
+
+
+def admin_bad_dataset(seed):
+    """:func:`admin_dataset` with D2 changed in one record whose B1..B4 cell
+    holds others: B1..B4 determine D2 only within eps, so verify_basis
+    draws its subsets."""
+    ds = admin_dataset(seed)
+    cells = slow_cells(ds, ["B1", "B2", "B3", "B4"])
+    i = np.flatnonzero(np.bincount(cells)[cells] > 1)[0]
+    records = ds.records.copy()
+    d2 = ds.position("D2")
+    records[i, d2] = (records[i, d2] + 1) % ds.var("D2").size
+    return Dataset(ds.variables, records)
+
+
+def benchmark_admin_dataset(n, k, seed):
+    """The administrative table of the ``api-basis-admin`` benchmark: B1..B4
+    of ``k`` categories, D1 = (B1, B2) and five more functions of them."""
+    b1, b2, b3, b4 = np.random.default_rng(seed).integers(0, k, size=(4, n))
+    cols = [b1, b2, b3, b4, b1 * k + b2, (b1 + b2) % k, (b3 + b4) % k,
+            (b1 * b3) % k, (b2 + 2 * b4) % k, np.maximum(b3, b4)]
+    names = ("B1", "B2", "B3", "B4", "D1", "D2", "D3", "D4", "D5", "D6")
+    sizes = (k,) * 4 + (k * k,) + (k,) * 5
+    return Dataset([Variable(nm, tuple(map(str, range(s)))) for nm, s in zip(names, sizes)],
+                   np.column_stack(cols))
+
+
+def repeated_rows(ds, data):
+    """``ds`` with each record drawn 1-4 times, in a drawn order."""
+    reps = data.draw(st.lists(st.integers(1, 4), min_size=ds.n_records,
+                              max_size=ds.n_records))
+    order = data.draw(st.permutations(range(sum(reps))))
+    return ds.take(np.repeat(np.arange(ds.n_records), reps)[order])
+
+
 def record_verdicts(ds, basis, eps):
     """verify_basis over every record, one count each: the path the
     distinct weighted rows must match bit for bit."""
@@ -364,18 +409,40 @@ def record_verdicts(ds, basis, eps):
 
 
 def check_report(ds, basis, eps):
-    """verify_basis against the record-level path, against the dense
-    reference for eps > 0 and against exact determination at eps 0."""
+    """verify_basis against the record-level path and against the dense
+    reference, which always draws the subsets and is exact at eps 0."""
     report = verify_basis(ds, basis, eps=eps)
     assert report == record_verdicts(ds, basis, eps)
-    if eps > 0:
-        assert report == reference_verify_basis(ds, basis, eps)
-    else:  # tau is exactly 1 when every observed cell holds one value
-        cells = slow_cells(ds, basis)
-        assert report.determined == {
-            nm: bool(((slow_table(cells, ds.codes(nm)) > 0).sum(axis=1) == 1).all())
-            for nm in ds.names}
+    assert report == reference_verify_basis(ds, basis, eps)
     return report
+
+
+def record_trace(ds, eps):
+    """structural_basis over every record, one count each."""
+    with mock.patch.object(basis_module, "_distinct_rows", lambda d: (d, None)):
+        return structural_basis(ds, eps=eps)
+
+
+class TestStructuralBasisDistinctRows:
+    """structural_basis searches the distinct records, each weighted by how
+    often it occurs.  Every count is that of the records, so every score,
+    tie, prune and the final Ep are too: the traces pickle to equal bytes."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_admin_tables(self, seed):
+        ds = repeating_admin_dataset(seed)
+        assert dataset_module._distinct_rows(ds)[1] is not None
+        for eps in (0.0, 1e-9, 0.0137):
+            assert (pickle.dumps(structural_basis(ds, eps))
+                    == pickle.dumps(record_trace(ds, eps)))
+
+    @given(coded_datasets(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_coded_rows(self, ds, data):
+        ds = repeated_rows(ds, data)
+        for eps in (0.0, 1e-9, 0.0137):
+            fast = outcome(lambda: pickle.dumps(structural_basis(ds, eps)))
+            assert fast == outcome(lambda: pickle.dumps(record_trace(ds, eps)))
 
 
 class TestVerifyBasisDistinctRows:
@@ -384,19 +451,21 @@ class TestVerifyBasisDistinctRows:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_admin_tables(self, seed):
-        ds = admin_dataset(seed)
+        ds = repeating_admin_dataset(seed)
         assert dataset_module._distinct_rows(ds)[1] is not None  # rows repeat
-        for basis in (["B1", "B2", "B3", "B4"], ["B1", "B2", "B3"], ["D2", "D3"]):
-            for eps in (0.0, 1e-9, 0.0137):
-                check_report(ds, basis, eps)
+        # B1..B4 and (D1, B3, B4) determine every column of ds exactly, so
+        # no subset is drawn; in the bad table they determine D2 only
+        # within eps, and the subsets are drawn
+        for table in (ds, admin_bad_dataset(seed)):
+            for basis in (["B1", "B2", "B3", "B4"], ["B1", "B2", "B3"], ["D2", "D3"],
+                          ["D1", "B3", "B4"]):
+                for eps in (0.0, 1e-9, 0.0137):
+                    check_report(table, basis, eps)
 
     @given(coded_datasets(), st.randoms(use_true_random=False), st.data())
     @settings(max_examples=200, deadline=None)
     def test_repeated_coded_rows(self, ds, rnd, data):
-        reps = data.draw(st.lists(st.integers(1, 4), min_size=ds.n_records,
-                                  max_size=ds.n_records))
-        order = data.draw(st.permutations(range(sum(reps))))
-        ds = ds.take(np.repeat(np.arange(ds.n_records), reps)[order])
+        ds = repeated_rows(ds, data)
         basis = rnd.sample(list(ds.names), rnd.randint(1, len(ds.names)))
         for b in (basis, list(ds.names), basis[:-1] or list(ds.names)[:1]):
             for eps in (0.0, 1e-9, 0.0137):
@@ -421,20 +490,22 @@ class TestVerifyBasisDistinctRows:
         assert seen and all(w is None for w in seen)
 
     def test_one_fold_over_the_records(self):
-        ds = admin_dataset(5)
+        ds = admin_bad_dataset(0)
         sizes = []
 
-        def spy(d, names):
+        def spy(d, names, most=None):
             sizes.append(d.n_records)
-            return fold(d, names)
+            return fold(d, names, most)
 
         fold = dataset_module._fold
         with mock.patch.object(dataset_module, "_fold", spy), \
                 mock.patch.object(basis_module, "_fold", spy):
-            assert verify_basis(ds, ["B1", "B2", "B3", "B4"], eps=0.0).passed
+            report = verify_basis(ds, ["B1", "B2", "B3", "B4"], eps=0.01)
+        assert report.subsets_ok and report.determined["D2"]
+        assert not verify_basis(ds, ["B1", "B2", "B3", "B4"], 0.0).determined["D2"]
         distinct = dataset_module._distinct_rows(ds)[0].n_records
         assert distinct < ds.n_records
-        assert sizes.count(ds.n_records) == 1 and len(sizes) > 30
+        assert sizes.count(ds.n_records) == 1 and len(sizes) > 30  # the subsets are drawn
         assert set(sizes) == {ds.n_records, distinct}
 
     @pytest.mark.parametrize("basis, message", [
@@ -448,11 +519,103 @@ class TestVerifyBasisDistinctRows:
             verify_basis(admin_dataset(5), basis)
 
 
+class TestSubsetCheck:
+    """(b) draws up to 32 subsets, unless every basis cell holds one value
+    of every variable: then it holds one value of every composite of them,
+    and (b) holds without a draw."""
+
+    def test_exact_basis_draws_no_subsets(self):
+        ds, bad = repeating_admin_dataset(0), admin_bad_dataset(0)
+        distinct = dataset_module._distinct_rows(ds)[0].n_records
+        basis = ["B1", "B2", "B3", "B4"]
+        sizes = []
+
+        def spy(d, names):
+            sizes.append(d.n_records)
+            return fold(d, names)
+
+        fold = basis_module._fold
+        with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as rng, \
+                mock.patch.object(basis_module, "_fold", spy):
+            for eps in (0.0, 1e-9, 0.0137):
+                assert verify_basis(ds, basis, eps=eps).passed
+            assert rng.call_count == 0
+            assert sizes == [distinct] * (1 + len(basis)) * 3  # the basis, then (d)
+            assert verify_basis(bad, basis, eps=0.01).subsets_ok
+            assert rng.call_count == 1
+
+
+class TestDistinctRowsShared:
+    """The three searches share one collapse of a dataset's records."""
+
+    def test_one_fold_for_every_search(self):
+        ds = admin_dataset(0)
+        sizes = []
+
+        def spy(d, names, most=None):
+            sizes.append(d.n_records)
+            return fold(d, names, most)
+
+        fold = dataset_module._fold
+        with mock.patch.object(dataset_module, "_fold", spy), \
+                mock.patch.object(basis_module, "_fold", spy), \
+                mock.patch.object(selection_module, "_fold", spy):
+            trace = structural_basis(ds)
+            verify_basis(ds, minimal_basis(ds))
+            verify_basis(ds, trace.basis)
+        distinct = dataset_module._distinct_rows(ds)[0].n_records
+        assert distinct < ds.n_records
+        assert sizes.count(ds.n_records) == 1
+        assert set(sizes) == {ds.n_records, distinct}
+
+
+def reference_minimal_basis(ds):
+    """The first smallest subset, in combination order, with as many
+    distinct code rows as the full set."""
+    names = list(ds.names)
+
+    def n_rows(sub):
+        return len(np.unique(ds.records[:, [ds.position(nm) for nm in sub]], axis=0))
+
+    full = n_rows(names)
+    for k in range(1, len(names)):
+        for sub in itertools.combinations(names, k):
+            if n_rows(sub) == full:
+                return sub
+    return tuple(names)
+
+
+def float_minimal_basis(ds, eps):
+    """The first smallest subset whose :func:`ep` is within ``eps`` of the
+    full set's."""
+    names = list(ds.names)
+    full = ep(ds, names).value
+    for k in range(1, len(names)):
+        for sub in itertools.combinations(names, k):
+            if abs(ep(ds, sub).value - full) <= eps:
+                return sub
+    return tuple(names)
+
+
 class TestMinimalBasis:
     def test_matches_planted_size(self):
         ds = planted_dataset()
         mb = minimal_basis(ds)
         assert len(mb) == 2
+
+    def test_exact_at_eps_zero(self):
+        # the float Ep sum of (B3, B4, D1) is an ulp above the full set's,
+        # so compared as floats at eps 0 it lost to (B1, B2, B3, B4)
+        ds = benchmark_admin_dataset(100_000, 7, 5150)
+        assert minimal_basis(ds, 0.0) == minimal_basis(ds, 1e-12) == ("B3", "B4", "D1")
+
+    @given(coded_datasets(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_integer_reference(self, ds, data):
+        ds = repeated_rows(ds, data)
+        assert minimal_basis(ds, 0.0) == reference_minimal_basis(ds)
+        for eps in (1e-9, 0.0137):
+            assert minimal_basis(ds, eps) == float_minimal_basis(ds, eps)
 
     @pytest.mark.parametrize("eps", [-1e-9, float("nan")])
     def test_bad_eps_rejected(self, eps):

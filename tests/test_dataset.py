@@ -27,7 +27,8 @@ from catassoc import (
     read_csv,
     to_joint,
 )
-from catassoc.dataset import _dense, _pair_counts
+from catassoc import dataset as dataset_module
+from catassoc.dataset import _GROUP_CAP, _dense, _distinct_rows, _pair_counts, _step_pairs
 from catassoc.fixtures import loan_dataset
 
 from conftest import coded_datasets, random_dataset
@@ -504,3 +505,84 @@ class TestWeightedPairCounts:
                            np.repeat(y, w) if with_y else None, n_y)
         assert [a.tolist() for a in got] == [a.tolist() for a in ref]
         assert got[0].dtype == got[1].dtype == np.int64
+
+
+class TestWeightedStepPairs:
+    """A forward step's counts with weights equal its counts of the keys
+    repeated by their weights, on each branch: a group of small candidates
+    counted at once, a candidate counted alone past the group cap, and a
+    candidate too wide to count, sorted."""
+
+    # (chosen cells, candidate sizes, branch of the first candidate)
+    CASES = [(10, (2, 3, 4, 5), "group"), (250, (300, 2), "alone"),
+             (100, (10**6,), "sorted")]
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(CASES), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_repeated_records(self, seed, case, with_y):
+        n_keys, sizes, branch = case
+        rng = np.random.default_rng(seed)
+        m, n_y = 60_000, 3 if with_y else 1
+        keys = rng.integers(0, n_keys, m)
+        y = rng.integers(0, n_y, m).astype(np.uint8) if with_y else None
+        parts = [(rng.integers(0, s, m).astype(np.min_scalar_type(s - 1)), s) for s in sizes]
+        w = rng.integers(1, 5, m)
+        n = n_keys * n_y * sizes[0]
+        assert _dense(n, m) == (branch != "sorted") and (n > _GROUP_CAP) == (branch != "group")
+        got = list(_step_pairs(keys, n_keys, y, n_y, parts, weights=w))
+        ref = list(_step_pairs(np.repeat(keys, w), n_keys,
+                               None if y is None else np.repeat(y, w), n_y,
+                               [(np.repeat(x, w), s) for x, s in parts]))
+        assert len(got) == len(sizes)
+        for g, r in zip(got, ref, strict=True):
+            assert [a.tolist() for a in g] == [a.tolist() for a in r]
+            assert g[0].dtype == g[1].dtype == np.int64
+
+
+class TestDistinctRows:
+    """A dataset is collapsed to its distinct rows once, and only when they
+    are at most half its records."""
+
+    def test_folded_once_and_kept(self, monkeypatch):
+        ds = Dataset(_AB, [[1, 0], [0, 1], [1, 0], [0, 1], [1, 0]])
+        rows, w = _distinct_rows(ds)
+        assert rows.records.tolist() == [[0, 1], [1, 0]] and w.tolist() == [2, 3]
+        assert not w.flags.writeable and not rows.records.flags.writeable
+
+        def no_fold(*args):
+            raise AssertionError("folded again")
+
+        monkeypatch.setattr(dataset_module, "_fold", no_fold)
+        again = _distinct_rows(ds)
+        assert again[0] is rows and again[1] is w
+
+    def test_take_child_folds_its_own(self):
+        ds = Dataset(_AB, [[1, 0], [0, 1], [1, 0], [1, 0], [0, 1], [1, 1]])
+        assert _distinct_rows(ds)[1].tolist() == [2, 3, 1]
+        child = ds.take(np.array([0, 2, 3, 1]))
+        rows, w = _distinct_rows(child)
+        assert rows.records.tolist() == [[0, 1], [1, 0]] and w.tolist() == [1, 3]
+        assert _distinct_rows(ds)[0].n_records == 3
+
+    def test_fold_ends_at_a_prefix_over_half(self):
+        # A is re-ranked before B joins it, and already has more observed
+        # keys than half the records; doubled, the records fold to the end
+        m, rng = 3000, np.random.default_rng(4)
+        ds = Dataset([Variable("A", tuple(map(str, range(m)))), Variable("B", tuple("01234"))],
+                     np.column_stack([rng.permutation(m), rng.integers(0, 5, m)]))
+        assert dataset_module._fold(ds, ds.names, most=m // 2) is None
+        assert _distinct_rows(ds) == (ds, None)
+        rows, w = _distinct_rows(ds.take(np.repeat(np.arange(m), 2)))
+        assert rows.n_records == m and w.tolist() == [2] * m
+
+    @pytest.mark.parametrize("m, distinct", [(10, 5), (10, 6), (11, 5), (11, 6), (1, 1),
+                                             (2, 1), (3, 2)])
+    def test_weights_only_at_most_half_distinct(self, m, distinct):
+        codes = np.arange(m) % distinct
+        ds = Dataset([Variable("A", tuple(map(str, range(distinct))))], codes[:, None])
+        rows, w = _distinct_rows(ds)
+        if 2 * distinct > m:
+            assert rows is ds and w is None
+        else:
+            assert rows.records.ravel().tolist() == list(range(distinct))
+            assert w.tolist() == np.bincount(codes).tolist()
