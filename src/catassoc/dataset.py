@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import contains, itemgetter
@@ -382,50 +383,250 @@ def ingest_records(rows: Iterable[Sequence[str]],
     return _dataset(header, distinct, inverse, first, missing_policy)
 
 
-def _decode(data: bytes) -> str:
+def _decode(data, errors: str = "strict") -> str:
+    """UTF-8 text of the bytes-like ``data``."""
     try:
-        return data.decode("utf-8")
+        return str(data, "utf-8", errors)
     except UnicodeDecodeError as e:
         raise DataError(
             f"input is not valid UTF-8: byte 0x{data[e.start]:02x} at offset {e.start}"
         ) from None
 
 
-def read_csv(source: Union[str, io.TextIOBase],
+#: Words of a line read as columns, one word of every line at a time; the
+#: further words of a longer line are read as one flat run (:func:`_tail`).
+_WIDE = 8
+#: Zero bytes kept after the input by :func:`read_csv`, so that each word of
+#: a column is read inside the buffer, also past the last line's end.
+_PAD = 8 * _WIDE
+#: Lines hashed or checked at a time, so the word temporaries stay small.
+_BLOCK = 2**16
+#: ``_MASKS[r]`` keeps the first ``r`` bytes of a little-endian word, and
+#: ``_COLUMN_MASKS[k][c]`` those of word ``k`` of a line of ``c`` bytes.
+_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+_COLUMN_MASKS = _MASKS[np.clip(np.arange(_PAD + 1) - 8 * np.arange(_WIDE)[:, None], 0, 8)]
+#: Most hash slots that :func:`_factorize_lines` ranks by counting, so the
+#: count table (2 MB) stays in cache.  On 1M lines, 2^16, 2^18, 2^20 and
+#: 2^21 slots took 4.8, 5.6, 10.3 and 17.0 ms (2-core Xeon VM).
+_SLOTS = 2**18
+
+
+def _read_bytes(source) -> tuple[bytearray, int, str]:
+    """The bytes of ``source``, followed by :data:`_PAD` zero bytes, their
+    count, and the error handler that decodes them back.  A path is read
+    straight into the buffer.  Text read from a stream is encoded with
+    ``"surrogatepass"``, so decoding gives back the same ``str``, lone
+    surrogates included."""
+    if isinstance(source, (str, bytes, os.PathLike)):
+        with open(source, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            buf = bytearray(size + _PAD)
+            n = f.readinto(memoryview(buf)[:size])
+            rest = f.read()  # a file that grew, or a pipe, which reports no size
+        if rest:
+            buf[n:n] = rest
+        return buf, n + len(rest), "strict"
+    data, errors = source.read(), "strict"
+    if isinstance(data, str):
+        data, errors = data.encode("utf-8", "surrogatepass"), "surrogatepass"
+    buf = bytearray(len(data) + _PAD)
+    buf[:len(data)] = data
+    return buf, len(data), errors
+
+
+def _line_ranges(buf: bytearray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length in bytes of each line of ``buf[:n]``, the lines that
+    ``str.split("\\n")`` gives once CRLF is LF: a CR before an LF is not
+    part of the line, and a final newline ends the last line."""
+    arr = np.frombuffer(buf, np.uint8)
+    bounds = np.concatenate(([-1], np.flatnonzero(arr[:n] == 10), [n]))
+    lengths = np.diff(bounds)
+    lengths -= 1
+    if b"\r" in buf:
+        lengths[:-1] -= arr[bounds[1:-1] - 1] == 13  # at LF 0, reads the last zero byte
+    starts = bounds[:-1]
+    starts += 1
+    if starts[-1] == n:
+        return starts[:-1], lengths[:-1]
+    return starts, lengths
+
+
+def _column(view: np.ndarray, starts: np.ndarray, capped: np.ndarray,
+            k: int) -> np.ndarray:
+    """Word ``k`` of the lines at ``starts``, bytes past a line's end zeroed;
+    ``capped`` is each line's length, at most :data:`_PAD`, and ``view[i]``
+    is the little-endian word at byte ``i``."""
+    words = view[starts + 8 * k]
+    words &= _COLUMN_MASKS[k][capped]
+    return words
+
+
+def _columns(lengths: np.ndarray) -> range:
+    """The word columns of lines of ``lengths`` bytes."""
+    return range(min((int(lengths.max(initial=0)) + 7) >> 3, _WIDE))
+
+
+def _tail(view: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """The words of the lines past their first :data:`_WIDE`, as one flat
+    run, bytes past a line's end zeroed; the lines that have such words,
+    where each one's words begin in the run, and each word's index in its
+    line.  The run grows with the lines' bytes."""
+    rows = np.flatnonzero(lengths > _PAD)
+    lengths = lengths[rows]
+    nw = ((lengths + 7) >> 3) - _WIDE
+    seg = np.cumsum(nw) - nw
+    k = np.arange(_WIDE, _WIDE + nw.sum()) - np.repeat(seg, nw)
+    words = view[np.repeat(starts[rows], nw) + 8 * k]
+    words &= _MASKS[np.minimum(np.repeat(lengths, nw) - 8 * k, 8)]
+    return words, rows, seg, k
+
+
+def _term(words: np.ndarray, k) -> np.ndarray:
+    """What words ``k`` (an index, or one per word) add to their lines'
+    hashes, in place.  A zero word adds 0, so the columns past a line's end
+    add nothing."""
+    words *= (np.asarray(k, np.uint64).reshape(-1) << 1 | 1) * 0x9E3779B97F4A7C15
+    words ^= words >> 29
+    return words
+
+
+def _line_hashes(view: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each line's bytes and length."""
+    capped = np.minimum(lengths, _PAD)
+    h = np.zeros(starts.size, np.uint64)
+    for k in _columns(lengths):
+        h += _term(_column(view, starts, capped, k), k)
+    words, rows, seg, k = _tail(view, starts, lengths)
+    if rows.size:
+        h[rows] += np.add.reduceat(_term(words, k), seg)
+    h ^= lengths.view(np.uint64)
+    h ^= h >> 33  # MurmurHash3's 64-bit finalizer, so the low bits are mixed
+    h *= 0xFF51AFD7ED558CCD
+    h ^= h >> 33
+    h *= 0xC4CEB9FE1A85EC53
+    h ^= h >> 33
+    return h
+
+
+def _first_order(codes: np.ndarray, n_codes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``codes`` in ``range(n_codes)``, all observed, re-ranked in place to
+    the order of their first occurrence, and the position of each one's
+    first.  The first positions are sorted by marking them, not by sorting
+    them: a million distinct codes sort in ~0.1 s."""
+    first = np.full(n_codes, codes.size)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    is_first = np.zeros(codes.size, bool)
+    is_first[first] = True
+    first = np.flatnonzero(is_first)
+    rank = np.empty(n_codes, np.int64)
+    rank[codes[first]] = np.arange(n_codes)
+    return np.take(rank, codes, out=codes), first
+
+
+def _same_lines(view: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                inverse: np.ndarray, first: np.ndarray) -> bool:
+    """Whether each line equals, length and bytes, line ``first[inverse]``."""
+    if first.size == starts.size:  # each line is the first of its rank
+        return True
+    f_starts, f_lengths = starts[first], lengths[first]
+    f_capped = np.minimum(f_lengths, _PAD)
+    f_columns = [_column(view, f_starts, f_capped, k) for k in _columns(f_lengths)]
+    for i in range(0, starts.size, _BLOCK):
+        b = slice(i, i + _BLOCK)
+        f, n_bytes = inverse[b], lengths[b]
+        if not np.array_equal(f_lengths[f], n_bytes):
+            return False
+        capped = np.minimum(n_bytes, _PAD)
+        if not all(np.array_equal(_column(view, starts[b], capped, k), f_columns[k][f])
+                   for k in _columns(n_bytes)):
+            return False
+        words, rows, _, _ = _tail(view, starts[b], n_bytes)
+        if rows.size and not np.array_equal(
+                words, _tail(view, f_starts[f[rows]], n_bytes[rows])[0]):
+            return False
+    return True
+
+
+def _factorize_lines(buf: bytearray, starts: np.ndarray, lengths: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The index of each line into the distinct lines, in first-occurrence
+    order, and each distinct line's first position, as :func:`_factorize`
+    gives them for the lines' bytes; None if two distinct lines share a
+    64-bit hash.  The hashes are ranked by counting their low bits, or by
+    sorting if two share them, and each line is checked to equal the first
+    line of its rank."""
+    m = starts.size
+    view = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
+    h = np.empty(m, np.uint64)
+    for i in range(0, m, _BLOCK):
+        b = slice(i, i + _BLOCK)
+        h[b] = _line_hashes(view, starts[b], lengths[b])
+    n_slots = 1 << min(_SLOTS.bit_length(), (4 * m + 1024).bit_length()) - 1
+    codes, n_codes = _compact((h & (n_slots - 1)).view(np.int64), n_slots)
+    one = np.empty(n_codes, np.uint64)
+    one[codes] = h
+    if not np.array_equal(one[codes], h):  # two hashes share a slot
+        codes, n_codes = _compact(h, 2**64)
+    del h, one
+    inverse, first = _first_order(codes, n_codes)
+    return (inverse, first) if _same_lines(view, starts, lengths, inverse, first) else None
+
+
+def _lines(buf: bytearray, n: int, starts: np.ndarray, lengths: np.ndarray,
+           rows: np.ndarray, errors: str) -> list[str]:
+    """The text of lines ``rows`` of the ``n`` bytes of ``buf``, which start
+    at ``starts`` and are ``lengths`` bytes long.  Up to half of the lines
+    are decoded one by one; more, by decoding the text once and splitting
+    it, as that makes a million lines in ~0.15 s where one by one takes
+    ~0.4 s (2-core Xeon VM)."""
+    if 2 * rows.size <= starts.size:
+        return [buf[s:s + k].decode("utf-8", errors)
+                for s, k in zip(starts[rows].tolist(), lengths[rows].tolist())]
+    text = _decode(memoryview(buf)[:n], errors)
+    lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
+    return [lines[i] for i in rows.tolist()]
+
+
+def read_csv(source: Union[str, os.PathLike, io.IOBase],
              missing_policy: str = "drop_row") -> Dataset:
     """Ingest a UTF-8 CSV file: first row is the header, all cells are
     opaque category labels, empty cells are missing.
 
-    ``source`` is a path or a text stream.  The text is split into lines,
-    and each distinct line is parsed once, so the cost of ingest grows with
-    the number of distinct lines more than with the number of records.  A
-    text holding a quote character (a quoted field may span lines) or a
+    ``source`` is a path, a binary stream or a text stream.  The input is
+    read as bytes and split into lines; the lines are ranked by a hash of
+    their bytes, each line is checked to equal the first line of its rank,
+    and each distinct line is decoded and parsed once.  So the cost of
+    ingest grows with the input's bytes and the number of distinct lines,
+    not with one Python string per record.  If two distinct lines share a
+    hash, the lines are decoded and factorized one by one instead.  An
+    input holding a quote character (a quoted field may span lines) or a
     lone carriage return (a line break to the csv module) is parsed whole
-    by :func:`csv.reader` instead.  Either way the result equals
+    by :func:`csv.reader`.  Either way the result equals
     ``ingest_records(csv.reader(f))`` over the file opened with
     ``newline=""``.  Bytes that are not UTF-8 and fields the csv module
-    rejects raise :class:`DataError`.
+    rejects raise :class:`DataError`; a text stream is taken as it is.
     """
-    if isinstance(source, (str, bytes)):
-        with open(source, "rb") as f:
-            text = _decode(f.read())
-    else:
-        text = source.read()
-    lf_text = text.replace("\r\n", "\n")
+    buf, n, errors = _read_bytes(source)
+    if errors == "strict" and not buf.isascii():
+        _decode(memoryview(buf)[:n])  # raises at the first byte that is not UTF-8
     try:
-        if '"' in text or "\r" in lf_text:
+        if b'"' in buf or (b"\r" in buf and buf.count(b"\r") > buf.count(b"\r\n")):
+            text = _decode(memoryview(buf)[:n], errors)
+            del buf
             return ingest_records(csv.reader(io.StringIO(text, newline="")),
                                   missing_policy)
-        # Every record is one line.  Parse each distinct line once; the
-        # ``del``s free each stage before the next one peaks.
-        del text
-        lines = lf_text.split("\n")
-        del lf_text
-        if lines[-1] == "":
-            lines.pop()  # the final newline ends the last line
+        # Every record is one line.  Parse the header and each distinct line once.
+        starts, lengths = _line_ranges(buf, n)
+        factorized = _factorize_lines(buf, starts[1:], lengths[1:])
+        if factorized is None:  # two distinct lines share a hash
+            lines = _lines(buf, n, starts, lengths, np.arange(starts.size), errors)
+            distinct, inverse, first = _factorize(lines[1:])
+        else:
+            inverse, first = factorized
+            lines = _lines(buf, n, starts, lengths, np.r_[0, first + 1][:starts.size], errors)
+            distinct = lines[1:]
         header = next(csv.reader(lines[:1]), None)
-        distinct, inverse, first = _factorize(lines[1:])
-        del lines
+        del buf, starts, lengths, lines
         rows = list(map(tuple, csv.reader(distinct)))  # tuples take less memory
         del distinct
     except csv.Error as e:

@@ -108,7 +108,7 @@ def loan_dataset() -> Dataset:
     """The bundled 650-record loan dataset, ingested from package data."""
     path = resources.files("catassoc").joinpath("data/loan.csv")
     with resources.as_file(path) as p:
-        return read_csv(str(p))
+        return read_csv(p)
 
 
 def loan_pair_table(x: str, y: str) -> ContingencyTable:

@@ -315,12 +315,18 @@ class TestSimulateAndFixtures:
 
 
 class TestInputContract:
-    def test_non_utf8_input_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content, offset", [
+        (b"A,Y\na,0\n\xff,1\n", 8),
+        (b"A,\xffY\na,0\nb,1\n", 2),
+        (b"A,Y\na,0\nabcdefghij\xffklm,1\nb,0\n", 18),
+        (b"A,Y\na,0\nb,\xff", 10),
+    ], ids=["line-start", "header", "mid-line-past-byte-8", "last-byte-no-newline"])
+    def test_non_utf8_input_exit_code(self, tmp_path, capsys, content, offset):
         p = tmp_path / "latin1.csv"
-        p.write_bytes(b"A,Y\na,0\n\xff,1\n")
+        p.write_bytes(content)
         assert main(["tau", "-i", str(p), "--x", "A", "--y", "Y"]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "0xff at offset 8" in err
+        assert err == f"error: input is not valid UTF-8: byte 0xff at offset {offset}\n"
 
     @pytest.mark.parametrize("content, code, named", [
         (b"1,x\n", EXIT_DATA, "weights file {}: could not convert string to float: 'x'"),

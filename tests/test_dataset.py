@@ -2,11 +2,13 @@
 
 import csv
 import io
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from catassoc import (
@@ -87,6 +89,39 @@ class TestIngest:
         assert ds.n_records == 2
         assert ds.var("A").domain == ("x", "y")
 
+    def test_read_csv_sources(self, tmp_path):
+        """A str, bytes or os.PathLike path, and a binary or text stream."""
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"A,B\nx,y\nz,y\n")
+        with open(path, "rb") as binary, open(path, encoding="utf-8") as text:
+            outcomes = [_outcome(lambda: read_csv(src)) for src in (
+                path, str(path), bytes(path), io.BytesIO(path.read_bytes()),
+                io.StringIO(path.read_text()), binary, text)]
+        assert outcomes == [(("A", "B"), [("x", "z"), ("y",)], [[0, 0], [1, 0]])] * 7
+
+    @pytest.mark.parametrize("reported", [0, 5, 1000])
+    def test_read_csv_path_of_another_reported_size(self, monkeypatch, tmp_path, reported):
+        """A pipe reports no size, and a file may grow or shrink while read."""
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"A,B\nx,y\nz,y\n")
+        fstat = dataset_module.os.fstat
+        monkeypatch.setattr(dataset_module.os, "fstat", lambda fd: os.stat_result(
+            fstat(fd)[:6] + (reported,) + fstat(fd)[7:]))
+        expected = (("A", "B"), [("x", "z"), ("y",)], [[0, 0], [1, 0]])
+        assert _outcome(lambda: read_csv(path)) == expected
+
+    def test_binary_stream_is_checked_as_utf8(self):
+        with pytest.raises(DataError, match="byte 0xff at offset 6"):
+            read_csv(io.BytesIO(b"A,B\nx,\xff\n"))
+
+    def test_text_stream_with_lone_surrogates(self):
+        """A text stream is taken as it is: lone surrogates (a str decoded with
+        "surrogateescape", say) are labels like any other."""
+        text = "A,B\r\nx\udcff,y\ud83d\ude00\r\nx,y\r\nx\udcff,y\ud83d\ude00\r\n"
+        fast = _outcome(lambda: read_csv(io.StringIO(text)))
+        assert fast[1] == [("x\udcff", "x"), ("y\ud83d\ude00", "y")]
+        assert (fast, fast) == _reference_outcomes(text, "drop_row")
+
 
 def _loop_ingest(rows, missing_policy):
     """Row-by-row reference for ingestion: every record is checked and
@@ -142,6 +177,11 @@ def csv_texts(draw):
     hold quoted fields (with commas and line breaks) or a lone CR.  Cells
     may hold characters that ``str.splitlines`` would break on."""
     cells = ["a", "b", "c", "NA", "x y", "p\u2028q\x1cr", ""]
+    # Alone on a line: 7, 8, 9, 16 and 17 bytes; a NUL that zero padding must
+    # not drop; 2-, 3- and 4-byte UTF-8 characters across byte 8.
+    cells += ["abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmnop",
+              "abcdefghijklmnopq", "a\x00", "abcdefg\u00e9", "abcdef\u20ac",
+              "abcde\U0001F600"]
     if draw(st.booleans()):
         cells += ['"a,b"', '"c\nd"', '"e""f"', '"g\r\nh"', '"a"']
     endings = ["\n", "\r\n"] + (["\r"] if draw(st.booleans()) else [])
@@ -160,21 +200,32 @@ def csv_texts(draw):
     return text
 
 
+def _check_file_and_stream(path: Path, text: str, policy: str = "drop_row"):
+    """read_csv of ``text`` written as UTF-8 bytes to ``path``, as the CLI
+    reads it, equals both references, and read_csv of ``text`` as a text
+    stream gives the same."""
+    path.write_bytes(text.encode("utf-8"))
+    from_file = _outcome(lambda: read_csv(path, policy))
+    from_stream = _outcome(lambda: read_csv(io.StringIO(text), policy))
+    assert (from_file, from_file) == _reference_outcomes(text, policy)
+    assert from_stream == from_file
+
+
 class TestReadCsvAgainstCsvReader:
     """read_csv parses each distinct line once; csv.reader over the whole
     text, through ingest_records and through the row loop, is the reference."""
 
     @given(csv_texts(), st.sampled_from(["drop_row", "as_category"]))
-    @settings(max_examples=400, deadline=None)
-    def test_matches_reference(self, text, policy):
-        fast = _outcome(lambda: read_csv(io.StringIO(text), policy))
-        assert (fast, fast) == _reference_outcomes(text, policy)
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_reference(self, tmp_path, text, policy):
+        _check_file_and_stream(tmp_path / "t.csv", text, policy)
 
     @pytest.mark.parametrize("text", ["", "\n", "\r\n", "A,B", "A,B\n",
-                                      "A,B\n\n", "\nA,B\nx,y\n", "A,B\r\rx,y"])
-    def test_edge_texts(self, text):
-        fast = _outcome(lambda: read_csv(io.StringIO(text)))
-        assert (fast, fast) == _reference_outcomes(text, "drop_row")
+                                      "A,B\n\n", "\nA,B\nx,y\n", "A,B\r\rx,y",
+                                      "A\na\na\x00\n", "A\r\n\r\nabcdefgh\r\n"])
+    def test_edge_texts(self, tmp_path, text):
+        _check_file_and_stream(tmp_path / "t.csv", text)
 
     @pytest.mark.parametrize("policy", ["drop_row", "as_category"])
     def test_repeated_lines_at_scale(self, policy):
@@ -186,6 +237,63 @@ class TestReadCsvAgainstCsvReader:
         assert ds.n_records == expected
         fast = _outcome(lambda: ds)
         assert (fast, fast) == _reference_outcomes(text, policy)
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments and the result of each call of ``dataset.<name>``."""
+    calls, real = [], getattr(dataset_module, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(dataset_module, name, spy)
+    return calls
+
+
+class TestLineHashCollisions:
+    """read_csv ranks lines by a 64-bit hash and then checks every line
+    against the first line of its rank, so a weak hash changes the route,
+    never the result.  The hashes are weakened here by patching; each text
+    is read from a file and from a text stream."""
+
+    # Lines of one length that differ only in their second word, or only
+    # past the words read as columns; lines that differ only by a final NUL;
+    # blank lines.  Equal lines are followed by different bytes.
+    TEXTS = ["A,B\nabcdefgh,1\nabcdefgh,2\nabcdefgh,1\n",
+             "A\n" + "x" * 69 + "1\n" + "x" * 69 + "2\n" + "x" * 69 + "1\n",
+             "A\na\na\x00\na\n",
+             "A\n\nb\n\nb\n"]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_equal_lines_share_a_rank(self, monkeypatch, tmp_path, text):
+        """The bytes after a line do not enter its hash."""
+        ranks = _spy(monkeypatch, "_factorize_lines")
+        (tmp_path / "t.csv").write_bytes(text.encode())
+        read_csv(tmp_path / "t.csv")
+        [(_, (_, first))] = ranks
+        body = text.split("\n")[1:-1]
+        assert [body[i] for i in first] == list(dict.fromkeys(body))
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_shared_slots_are_ranked_by_sorting(self, monkeypatch, tmp_path, text):
+        """Low bits all zero: every line falls in one slot, so the full
+        hashes are ranked by sorting."""
+        real = dataset_module._line_hashes
+        monkeypatch.setattr(dataset_module, "_line_hashes", lambda *a: real(*a) << 32)
+        compacts, checks = _spy(monkeypatch, "_compact"), _spy(monkeypatch, "_same_lines")
+        _check_file_and_stream(tmp_path / "t.csv", text)
+        assert [args[1] for args, _ in compacts] == [1024, 2**64] * 2
+        assert [same for _, same in checks] == [True, True]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_colliding_hashes_fall_back_to_the_lines(self, monkeypatch, tmp_path, text):
+        """Every line hashes to 0: the check finds distinct lines of one hash,
+        and the decoded lines are factorized instead."""
+        real = dataset_module._line_hashes
+        monkeypatch.setattr(dataset_module, "_line_hashes", lambda *a: real(*a) * 0)
+        checks = _spy(monkeypatch, "_same_lines")
+        _check_file_and_stream(tmp_path / "t.csv", text)
+        assert [same for _, same in checks] == [False, False]
 
 
 class TestContingency:

@@ -15,7 +15,9 @@ exits 1 when any command differs.
 
 The corpus covers every subcommand and format, error paths, the five
 bundled fixtures, 60 seeded random CSVs, 3 wide ones, two administrative
-ones with many repeated records and CSVs with a constant column: about 3,000 commands, recorded in about 20 s on a 2-core
+ones with many repeated records, CSVs with a constant column, and two
+with CRLF or no final newline, a blank line, long lines and labels that
+are not ASCII: about 3,200 commands, recorded in about 20 s on a 2-core
 Xeon virtual machine.
 """
 
@@ -106,6 +108,14 @@ def _write_inputs(root: Path) -> dict[str, list[str]]:
         csv(name, ["B1", "B2", "B3", "D1", "D2", "D3"],
             ([f"b{p}", f"c{q}", f"e{r}", f"d{s}", f"f{t}", f"g{v}"] for p, q, r, s, t, v
              in zip(b1, b2, b3, b1 * 4 + b2, col, np.maximum(b2, b3))))
+    # Ingest shapes: CRLF line ends around a blank line, and LF line ends
+    # with no final newline; lines past 16 bytes and labels that are not ASCII.
+    rows = [[f"a{i % 3}", ("gr\u00fcn-\u00e9t\u00e9-long-label-" if i % 4 else "b") + str(i % 2),
+             f"y{(i % 3 + i % 2) % 2}"] for i in range(40)]
+    lines = [",".join(r) for r in [["A", "B", "Y"]] + rows]
+    (root / "crlf.csv").write_bytes("\r\n".join(lines[:21] + [""] + lines[21:] + [""]).encode())
+    (root / "no_eol.csv").write_bytes("\n".join(lines).encode())
+    inputs["crlf.csv"] = inputs["no_eol.csv"] = ["A", "B", "Y"]
     (root / "missing.csv").write_text("A,B,Y\na,,0\nb,x,1\n,y,0\na,x,1\nb,y,0\n",
                                       encoding="utf-8")
     inputs["missing.csv"] = ["A", "B", "Y"]
