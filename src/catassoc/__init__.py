@@ -13,6 +13,22 @@ Start with :func:`read_csv` or :meth:`Dataset.from_label_columns`, then
 distribution, and feed that to the association functions.
 """
 
+import os as _os
+import sys as _sys
+
+# When numpy loads, OpenBLAS starts a worker thread per extra CPU, and an
+# idle worker busy-waits for OPENBLAS_THREAD_TIMEOUT (2**28 cycles by
+# default) before it sleeps.  The package's only BLAS calls are products too
+# small to wake it, so load numpy with OpenBLAS's shortest wait; the variable
+# is only read when the library loads.  A value the user set, or a numpy
+# already loaded, is left alone, and the environment is restored at once.
+if "numpy" not in _sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in _os.environ:
+    _os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_THREAD_TIMEOUT"]
+
 from .association import (
     AssociationMatrix,
     AssociationVector,

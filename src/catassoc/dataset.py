@@ -357,7 +357,9 @@ def _dataset(header: Sequence[str] | None, rows: list[Sequence[str]],
     del kept
     # Written once, column-major and at the width Dataset stores, so the
     # constructor keeps this array rather than copying it.
-    record_rows = (np.cumsum(keep) - 1)[inverse[keep[inverse]]]
+    record_rows = inverse
+    if n_kept < keep.size:  # renumber the kept rows, drop the others' records
+        record_rows = (np.cumsum(keep) - 1)[inverse[keep[inverse]]]
     records = np.empty((record_rows.size, n), _code_dtype(v.size for v in variables), "F")
     for j, codes in enumerate(columns):
         records[:, j] = codes[record_rows]

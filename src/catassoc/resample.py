@@ -59,8 +59,23 @@ def _check_draws(B: int, level: float) -> None:
 
 
 def _percentile(point: float, reps: np.ndarray, level: float, seed: int) -> BootstrapResult:
-    lo, hi = np.quantile(reps, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
-    return BootstrapResult(point, reps, float(lo), float(hi),
+    """The interval ends equal ``np.quantile(reps, [(1 - level) / 2,
+    (1 + level) / 2])`` bitwise: numpy's "linear" method, its index rules
+    and its interpolation, over one sort.  (``np.quantile`` itself imports
+    all of ``numpy.ma``, through ``np.unique``.)"""
+    ordered = np.sort(reps)
+    top = ordered.size - 1
+    ends = []
+    for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0):
+        at = top * q
+        # At the last index (one replicate, or q rounded to 1) numpy takes
+        # the last value on both sides and measures the weight from index -1.
+        i, j = (int(at), int(at) + 1) if at < top else (-1, -1)
+        a, b, t = float(ordered[i]), float(ordered[j]), at - i
+        ends.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    if np.isnan(ordered[-1]):  # NaN sorts last; any NaN gives NaN ends
+        ends = [float(ordered[-1])] * 2
+    return BootstrapResult(point, reps, ends[0], ends[1],
                            float(reps.mean()), level, seed)
 
 

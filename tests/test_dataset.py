@@ -227,6 +227,18 @@ class TestReadCsvAgainstCsvReader:
     def test_edge_texts(self, tmp_path, text):
         _check_file_and_stream(tmp_path / "t.csv", text)
 
+    # Records map to distinct rows directly when every distinct row is kept,
+    # and through a renumbering of the kept ones when some row is dropped.
+    @pytest.mark.parametrize("text,policy,n_records", [
+        ("A,B\nx,y\nz,y\nx,y\n", "drop_row", 3),
+        ("A,B\nx,y\nz,\nx,y\nw,y\nz,\n", "drop_row", 3),
+        ("A,B\nx,y\nz,\nx,y\nw,y\nz,\n", "as_category", 5),
+        ("A,B\nx,y\n\nz,y\nx,y\n\nw,y\n", "drop_row", 4),
+        ("A,B\n\nx,y\nz,\n\nz,y\nx,y\n", "drop_row", 3)])
+    def test_kept_and_dropped_rows(self, tmp_path, text, policy, n_records):
+        _check_file_and_stream(tmp_path / "t.csv", text, policy)
+        assert read_csv(io.StringIO(text), policy).n_records == n_records
+
     @pytest.mark.parametrize("policy", ["drop_row", "as_category"])
     def test_repeated_lines_at_scale(self, policy):
         lines = ["x,u,1", "y,u,2", "x,v,", "z,w,3", "y,v,1"]

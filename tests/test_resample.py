@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catassoc import (
     DataError,
@@ -68,6 +70,44 @@ class TestStratifiedBootstrap:
             stratified_bootstrap(ds, "V0", lambda d: 0.0, B=0, seed=0)
         with pytest.raises(DataError):
             stratified_bootstrap(ds, "V0", lambda d: 0.0, B=10, level=1.0, seed=0)
+
+
+# Replicates with ties (a few values drawn many times), spread over scales
+# 1e-5..1e4, sometimes with NaN.  Drawn zeros are +0.0: -0.0 == 0.0, so
+# sort and numpy's partition may order mixed zeros either way.
+@st.composite
+def replicate_arrays(draw):
+    scale = 10.0 ** draw(st.integers(-5, 4))
+    pool = draw(st.lists(st.floats(-scale, scale).map(lambda x: x + 0.0),
+                         min_size=1, max_size=6))
+    reps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    if draw(st.booleans()) and draw(st.booleans()):
+        reps.insert(draw(st.integers(0, len(reps))), float("nan"))
+    return np.array(reps)
+
+
+LEVELS = st.one_of(st.floats(1e-16, 1e-3),
+                   st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                   st.floats(1 - 1e-3, 1.0, exclude_max=True), st.just(0.95))
+
+
+class TestPercentile:
+    @given(replicate_arrays(), LEVELS)
+    @example(np.array([0.25]), 0.95)
+    @example(np.array([-0.0]), 0.5)  # one value: numpy's weight from index -1
+    @example(np.array([0.5, 0.25]), 0.95)
+    @example(np.array([0.5, 0.25]), 1e-16)
+    @example(np.array([0.5, 0.25]), 1 - 2**-53)
+    @example(np.array([0.5, np.nan]), 0.5)
+    @example(np.array([0.1, 0.1, 0.7, 0.7, 0.7]), 0.5)
+    @settings(max_examples=800, deadline=None)
+    def test_ends_equal_numpy_quantile_bitwise(self, reps, level):
+        res = resample._percentile(0.0, reps, level, 0)
+        expected = np.quantile(reps, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+        ends = np.array([res.ci_low, res.ci_high])
+        nan = np.isnan(expected)
+        assert (np.isnan(ends) == nan).all()
+        assert (ends.view(np.int64)[~nan] == expected.view(np.int64)[~nan]).all()
 
 
 class TestRetentionRatio:
