@@ -401,15 +401,17 @@ _WIDE = 8
 #: Zero bytes kept after the input by :func:`read_csv`, so that each word of
 #: a column is read inside the buffer, also past the last line's end.
 _PAD = 8 * _WIDE
-#: Lines hashed or checked at a time, so the word temporaries stay small.
+#: Lines found, hashed, ranked and checked at a time by :func:`read_csv`, so
+#: that besides the buffer only a narrow rank per line grows with the input.
 _BLOCK = 2**16
+#: Bytes searched for line ends at a time (:func:`_line_blocks`).
+_WINDOW = 2**20
 #: ``_MASKS[r]`` keeps the first ``r`` bytes of a little-endian word, and
 #: ``_COLUMN_MASKS[k][c]`` those of word ``k`` of a line of ``c`` bytes.
 _MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 _COLUMN_MASKS = _MASKS[np.clip(np.arange(_PAD + 1) - 8 * np.arange(_WIDE)[:, None], 0, 8)]
-#: Most hash slots that :func:`_factorize_lines` ranks by counting, so the
-#: count table (2 MB) stays in cache.  On 1M lines, 2^16, 2^18, 2^20 and
-#: 2^21 slots took 4.8, 5.6, 10.3 and 17.0 ms (2-core Xeon VM).
+#: Most slots of the table of distinct line hashes that :func:`_factorize_lines`
+#: looks each line up in (:func:`_slot_table`, 4 MB).
 _SLOTS = 2**18
 
 
@@ -436,21 +438,24 @@ def _read_bytes(source) -> tuple[bytearray, int, str]:
     return buf, len(data), errors
 
 
-def _line_ranges(buf: bytearray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length in bytes of each line of ``buf[:n]``, the lines that
-    ``str.split("\\n")`` gives once CRLF is LF: a CR before an LF is not
-    part of the line, and a final newline ends the last line."""
+def _line_blocks(buf: bytearray, lo: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Start and length in bytes of each line of ``buf[lo:n]``, in blocks of
+    at most :data:`_BLOCK` lines: the lines that ``str.split("\\n")`` gives
+    once CRLF is LF, where a CR before an LF is not part of the line and a
+    final newline ends the last line.  Line ends are searched
+    :data:`_WINDOW` bytes at a time; the zero bytes past ``n`` hold none."""
     arr = np.frombuffer(buf, np.uint8)
-    bounds = np.concatenate(([-1], np.flatnonzero(arr[:n] == 10), [n]))
-    lengths = np.diff(bounds)
-    lengths -= 1
-    if b"\r" in buf:
-        lengths[:-1] -= arr[bounds[1:-1] - 1] == 13  # at LF 0, reads the last zero byte
-    starts = bounds[:-1]
-    starts += 1
-    if starts[-1] == n:
-        return starts[:-1], lengths[:-1]
-    return starts, lengths
+    cr = b"\r" in buf
+    for w in range(lo, n, _WINDOW):
+        ends = np.flatnonzero(arr[w:w + _WINDOW] == 10) + w
+        for i in range(0, ends.size, _BLOCK):
+            e = ends[i:i + _BLOCK]
+            starts = np.concatenate(([lo], e[:-1] + 1))
+            lengths = e - starts - (arr[e - 1] == 13) if cr else e - starts
+            lo = int(e[-1]) + 1
+            yield starts, lengths
+    if lo < n:
+        yield np.array([lo]), np.array([n - lo])
 
 
 def _column(view: np.ndarray, starts: np.ndarray, capped: np.ndarray,
@@ -526,65 +531,82 @@ def _first_order(codes: np.ndarray, n_codes: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _same_lines(view: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                inverse: np.ndarray, first: np.ndarray) -> bool:
-    """Whether each line equals, length and bytes, line ``first[inverse]``."""
-    if first.size == starts.size:  # each line is the first of its rank
-        return True
-    f_starts, f_lengths = starts[first], lengths[first]
-    f_capped = np.minimum(f_lengths, _PAD)
-    f_columns = [_column(view, f_starts, f_capped, k) for k in _columns(f_lengths)]
-    for i in range(0, starts.size, _BLOCK):
-        b = slice(i, i + _BLOCK)
-        f, n_bytes = inverse[b], lengths[b]
-        if not np.array_equal(f_lengths[f], n_bytes):
-            return False
-        capped = np.minimum(n_bytes, _PAD)
-        if not all(np.array_equal(_column(view, starts[b], capped, k), f_columns[k][f])
-                   for k in _columns(n_bytes)):
-            return False
-        words, rows, _, _ = _tail(view, starts[b], n_bytes)
-        if rows.size and not np.array_equal(
-                words, _tail(view, f_starts[f[rows]], n_bytes[rows])[0]):
-            return False
-    return True
+                f_starts: np.ndarray, f_lengths: np.ndarray) -> bool:
+    """Whether each line equals the line of ``f_lengths`` bytes at ``f_starts``."""
+    if not np.array_equal(lengths, f_lengths):
+        return False
+    capped = np.minimum(lengths, _PAD)
+    if not all(np.array_equal(_column(view, starts, capped, k), _column(view, f_starts, capped, k))
+               for k in _columns(lengths)):
+        return False
+    words, rows, _, _ = _tail(view, starts, lengths)
+    return not rows.size or np.array_equal(words, _tail(view, f_starts[rows], lengths[rows])[0])
 
 
-def _factorize_lines(buf: bytearray, starts: np.ndarray, lengths: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The index of each line into the distinct lines, in first-occurrence
-    order, and each distinct line's first position, as :func:`_factorize`
-    gives them for the lines' bytes; None if two distinct lines share a
-    64-bit hash.  The hashes are ranked by counting their low bits, or by
-    sorting if two share them, and each line is checked to equal the first
-    line of its rank."""
-    m = starts.size
+def _slot_table(hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``hashes`` by their low bits, in at least four slots each up to :data:`_SLOTS`:
+    each slot's hash (``~slot`` if empty: no hash of the slot ends in it) and
+    index.  Of two hashes that share a slot, the later one is kept."""
+    n_slots = 1 << min(_SLOTS.bit_length() - 1, (4 * hashes.size + 1024).bit_length())
+    slot_hash, slot_index = ~np.arange(n_slots, dtype=np.uint64), np.zeros(n_slots, np.int64)
+    slot = (hashes & (n_slots - 1)).view(np.int64)
+    slot_hash[slot], slot_index[slot] = hashes, np.arange(hashes.size)
+    return slot_hash, slot_index
+
+
+def _factorize_lines(buf: bytearray, lo: int, n: int, errors: str
+                     ) -> tuple[list[tuple], np.ndarray, np.ndarray] | None:
+    """The distinct lines of ``buf[lo:n]`` parsed as rows, in first-occurrence
+    order, the index of each line into them and each one's first position,
+    as :func:`_factorize` and :func:`csv.reader` give them; None if a line
+    differs from the first line of its hash.
+
+    The lines are taken in blocks, in input order.  A line whose hash is in
+    the slot table of the distinct hashes takes its index; the others are
+    ranked by sorting, and the first line of each new hash is parsed at
+    once.  Every line is checked to equal the first line of its index.  A
+    hash that lost its slot gives equal lines a second index: same records."""
     view = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
-    h = np.empty(m, np.uint64)
-    for i in range(0, m, _BLOCK):
-        b = slice(i, i + _BLOCK)
-        h[b] = _line_hashes(view, starts[b], lengths[b])
-    n_slots = 1 << min(_SLOTS.bit_length(), (4 * m + 1024).bit_length()) - 1
-    codes, n_codes = _compact((h & (n_slots - 1)).view(np.int64), n_slots)
-    one = np.empty(n_codes, np.uint64)
-    one[codes] = h
-    if not np.array_equal(one[codes], h):  # two hashes share a slot
-        codes, n_codes = _compact(h, 2**64)
-    del h, one
-    inverse, first = _first_order(codes, n_codes)
-    return (inverse, first) if _same_lines(view, starts, lengths, inverse, first) else None
+    f_starts = f_lengths = np.empty(0, np.int64)
+    f_hashes = np.empty(0, np.uint64)
+    slot_hash, slot_index = _slot_table(f_hashes)
+    rows, inverse, first, line = [], [np.empty(0, np.uint8)], [f_starts], 0
+    for starts, lengths in _line_blocks(buf, lo, n):
+        h = _line_hashes(view, starts, lengths)
+        slot = (h & (slot_hash.size - 1)).view(np.int64)
+        index, new = slot_index[slot], np.flatnonzero(slot_hash[slot] != h)
+        if new.size:
+            codes, firsts = _first_order(*_compact(h[new], 2**64))
+            index[new] = codes + f_starts.size
+            new = new[firsts]
+            f_starts = np.concatenate((f_starts, starts[new]))
+            f_lengths = np.concatenate((f_lengths, lengths[new]))
+            f_hashes = np.concatenate((f_hashes, h[new]))
+            if slot_hash.size < min(4 * f_hashes.size + 1024, _SLOTS):  # at least doubles
+                slot_hash, slot_index = _slot_table(f_hashes)
+            else:
+                slot_hash[slot[new]], slot_index[slot[new]] = h[new], index[new]
+            first.append(new + line)
+            rows += map(tuple, csv.reader(_lines(buf, starts, lengths, new, errors)))
+        if new.size < starts.size and not _same_lines(view, starts, lengths,
+                                                      f_starts[index], f_lengths[index]):
+            return None
+        inverse.append(index.astype(_code_dtype([f_starts.size])))
+        line += starts.size
+    return rows, np.concatenate(inverse), np.concatenate(first)
 
 
-def _lines(buf: bytearray, n: int, starts: np.ndarray, lengths: np.ndarray,
+def _lines(buf: bytearray, starts: np.ndarray, lengths: np.ndarray,
            rows: np.ndarray, errors: str) -> list[str]:
-    """The text of lines ``rows`` of the ``n`` bytes of ``buf``, which start
-    at ``starts`` and are ``lengths`` bytes long.  Up to half of the lines
-    are decoded one by one; more, by decoding the text once and splitting
-    it, as that makes a million lines in ~0.15 s where one by one takes
-    ~0.4 s (2-core Xeon VM)."""
+    """The text of lines ``rows`` of a block of consecutive lines of ``buf``,
+    which start at ``starts`` and are ``lengths`` bytes long.  Up to half of
+    the lines are decoded one by one; more, by decoding the block once and
+    splitting it, as that makes a million lines in ~0.15 s where one by one
+    takes ~0.4 s (2-core Xeon VM)."""
     if 2 * rows.size <= starts.size:
         return [buf[s:s + k].decode("utf-8", errors)
                 for s, k in zip(starts[rows].tolist(), lengths[rows].tolist())]
-    text = _decode(memoryview(buf)[:n], errors)
+    text = _decode(memoryview(buf)[starts[0]:starts[-1] + lengths[-1]], errors)
     lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
     return [lines[i] for i in rows.tolist()]
 
@@ -595,15 +617,17 @@ def read_csv(source: Union[str, os.PathLike, io.IOBase],
     opaque category labels, empty cells are missing.
 
     ``source`` is a path, a binary stream or a text stream.  The input is
-    read as bytes and split into lines; the lines are ranked by a hash of
-    their bytes, each line is checked to equal the first line of its rank,
-    and each distinct line is decoded and parsed once.  So the cost of
-    ingest grows with the input's bytes and the number of distinct lines,
-    not with one Python string per record.  If two distinct lines share a
-    hash, the lines are decoded and factorized one by one instead.  An
-    input holding a quote character (a quoted field may span lines) or a
-    lone carriage return (a line break to the csv module) is parsed whole
-    by :func:`csv.reader`.  Either way the result equals
+    read as bytes.  Its lines are found, hashed and ranked against the
+    distinct lines seen so far in blocks of :data:`_BLOCK`, in input order;
+    each line is checked to equal the first line of its rank, and each
+    distinct line is decoded and parsed once, in the block where it first
+    occurs.  So the cost of ingest grows with the input's bytes and the
+    number of distinct lines, not with one Python string per record, and
+    besides the bytes only a narrow rank per record outlives its block.  If
+    two distinct lines share a hash, the lines are decoded and factorized
+    one by one instead.  An input holding a quote character (a quoted field
+    may span lines) or a lone carriage return (a line break to the csv
+    module) is parsed whole by :func:`csv.reader`.  Either way the result equals
     ``ingest_records(csv.reader(f))`` over the file opened with
     ``newline=""``.  Bytes that are not UTF-8 and fields the csv module
     rejects raise :class:`DataError`; a text stream is taken as it is.
@@ -612,28 +636,26 @@ def read_csv(source: Union[str, os.PathLike, io.IOBase],
     if errors == "strict" and not buf.isascii():
         _decode(memoryview(buf)[:n])  # raises at the first byte that is not UTF-8
     try:
-        if b'"' in buf or (b"\r" in buf and buf.count(b"\r") > buf.count(b"\r\n")):
-            text = _decode(memoryview(buf)[:n], errors)
+        if b'"' not in buf and (b"\r" not in buf or buf.count(b"\r") == buf.count(b"\r\n")):
+            # Every record is one line.  Parse the header and each distinct line once.
+            end = buf.find(b"\n", 0, n) % (n + 1)  # n if no line ends
+            head = _decode(memoryview(buf)[:end - (buf[end - 1] == 13)], errors)
+            header = next(csv.reader([head]), None) if n else None
+            ranked = _factorize_lines(buf, end + 1, n, errors)
+            if ranked is None:  # two distinct lines share a hash: factorize them decoded
+                text = _decode(memoryview(buf)[end + 1:n], errors)
+                lines = text.replace("\r\n", "\n").split("\n")
+                del text
+                distinct, inverse, first = _factorize(lines[:-1] if lines[-1] == "" else lines)
+                del lines
+                ranked = list(map(tuple, csv.reader(distinct))), inverse, first
             del buf
-            return ingest_records(csv.reader(io.StringIO(text, newline="")),
-                                  missing_policy)
-        # Every record is one line.  Parse the header and each distinct line once.
-        starts, lengths = _line_ranges(buf, n)
-        factorized = _factorize_lines(buf, starts[1:], lengths[1:])
-        if factorized is None:  # two distinct lines share a hash
-            lines = _lines(buf, n, starts, lengths, np.arange(starts.size), errors)
-            distinct, inverse, first = _factorize(lines[1:])
-        else:
-            inverse, first = factorized
-            lines = _lines(buf, n, starts, lengths, np.r_[0, first + 1][:starts.size], errors)
-            distinct = lines[1:]
-        header = next(csv.reader(lines[:1]), None)
-        del buf, starts, lengths, lines
-        rows = list(map(tuple, csv.reader(distinct)))  # tuples take less memory
-        del distinct
+            return _dataset(header, *ranked, missing_policy)
+        text = _decode(memoryview(buf)[:n], errors)
+        del buf
+        return ingest_records(csv.reader(io.StringIO(text, newline="")), missing_policy)
     except csv.Error as e:
         raise DataError(f"malformed CSV: {e}") from None
-    return _dataset(header, rows, inverse, first, missing_policy)
 
 
 def _dense(n_keys: int, n_records: int) -> bool:
@@ -666,13 +688,15 @@ def _fold(ds: Dataset, names: Sequence[str],
     if len(set(names)) != len(names):
         raise DataError("composite parts must be distinct")
     sizes = [ds.var(nm).size for nm in names]
-    keys, n_keys = ds.codes(names[0]).astype(np.int64), sizes[0]
+    keys, n_keys = ds.codes(names[0]), sizes[0]
     for nm, size in zip(names[1:], sizes[1:]):
         if not _dense(n_keys * size, ds.n_records):
             keys, n_keys = _compact(keys, n_keys)
             if most is not None and n_keys > most:
                 return None
-        keys = keys * size + ds.codes(nm)
+        # At the new range's narrowest dtype; size == n_keys * size only if keys are 0.
+        keys = keys.astype(_code_dtype([n_keys * size])) * min(size, n_keys * size - 1)
+        keys += ds.codes(nm)
         n_keys *= size
     return keys, n_keys
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import AssociationMatrix, JointLike, _as_joint, association_matrix
-from .dataset import Dataset, _frozen, _resolve_x, joint_from_counts
+from .dataset import (CompositeVariable, Dataset, _code_dtype, _compact, _fold, _frozen,
+                      joint_from_counts)
 from .errors import DataError
 
 
@@ -126,34 +127,39 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
         test_idx = np.concatenate(test_idx)
         if train_idx.size < 1 or test_idx.size < 1:
             raise DataError("split leaves an empty train or test set")
-    else:
-        perm = rng.permutation(m)
+    else:  # rng.permutation(m) shuffles an arange too: the same draws
+        perm = np.arange(m, dtype=_code_dtype([m]))
+        rng.shuffle(perm)
         train_idx, test_idx = perm[:n_train], perm[n_train:]
 
-    x_name, x_domain, x_codes, parts = _resolve_x(ds, x)
+    # composite()'s cells without its labels (the association matrix holds none),
+    # at a width that holds every (cell, response) key and ny, as stored codes do.
+    if isinstance(x, CompositeVariable):
+        parts, cells, nx = x.parts, x.codes, x.size
+    else:
+        parts = (x,) if isinstance(x, str) else tuple(x)
+        cells, nx = _compact(*_fold(ds, parts))
     if y in parts:
         raise DataError(f"response {y!r} overlaps the explanatory parts")
     y_codes = ds.codes(y)
     ny = ds.var(y).size
-    nx = len(x_domain)
+    cells = cells.astype(np.min_scalar_type(nx * ny), copy=False)
 
-    # Stored codes are narrow: widen them before arithmetic.
-    counts_train = np.bincount(
-        x_codes[train_idx].astype(np.int64) * ny + y_codes[train_idx], minlength=nx * ny
-    ).reshape(nx, ny)
+    counts_train = np.bincount(cells[train_idx] * ny + y_codes[train_idx],
+                               minlength=nx * ny).reshape(nx, ny)
     if (counts_train.sum(axis=0) == 0).any():
         raise DataError("a response category is absent from the training split")
-    train_gamma = association_matrix(joint_from_counts(counts_train, x_domain,
-                                                       ds.var(y).domain))
+    train_gamma = association_matrix(joint_from_counts(counts_train,
+                                                       y_domain=ds.var(y).domain))
 
     row_mass = counts_train.sum(axis=1)
     seen = row_mass > 0
     cond = counts_train / np.maximum(row_mass, 1)[:, None]
 
-    tx = x_codes[test_idx].astype(np.int64)
+    tx = cells[test_idx]
     usable = seen[tx]
     skipped = int((~usable).sum())
-    tx, ty = tx[usable], y_codes[test_idx][usable].astype(np.int64)
+    tx, ty = tx[usable].astype(np.intp), y_codes[test_idx][usable].astype(np.int64)
     preds = _draw(cond, rng.random(tx.size), tx)
     confusion = np.bincount(ty * ny + preds, minlength=ny * ny).reshape(ny, ny)
     cm = ConfusionMatrix(confusion, ds.var(y).domain)

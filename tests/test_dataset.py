@@ -282,19 +282,19 @@ class TestLineHashCollisions:
         ranks = _spy(monkeypatch, "_factorize_lines")
         (tmp_path / "t.csv").write_bytes(text.encode())
         read_csv(tmp_path / "t.csv")
-        [(_, (_, first))] = ranks
+        [(_, (_, _, first))] = ranks
         body = text.split("\n")[1:-1]
         assert [body[i] for i in first] == list(dict.fromkeys(body))
 
     @pytest.mark.parametrize("text", TEXTS)
     def test_shared_slots_are_ranked_by_sorting(self, monkeypatch, tmp_path, text):
-        """Low bits all zero: every line falls in one slot, so the full
-        hashes are ranked by sorting."""
+        """Low bits all zero: every line falls in one slot, so the hashes
+        that the slot does not hold are ranked by sorting."""
         real = dataset_module._line_hashes
         monkeypatch.setattr(dataset_module, "_line_hashes", lambda *a: real(*a) << 32)
         compacts, checks = _spy(monkeypatch, "_compact"), _spy(monkeypatch, "_same_lines")
         _check_file_and_stream(tmp_path / "t.csv", text)
-        assert [args[1] for args, _ in compacts] == [1024, 2**64] * 2
+        assert [args[1] for args, _ in compacts] == [2**64] * 2
         assert [same for _, same in checks] == [True, True]
 
     @pytest.mark.parametrize("text", TEXTS)
@@ -306,6 +306,92 @@ class TestLineHashCollisions:
         checks = _spy(monkeypatch, "_same_lines")
         _check_file_and_stream(tmp_path / "t.csv", text)
         assert [same for _, same in checks] == [False, False]
+
+
+def _colliding_lengths(length):
+    """``_line_hashes`` with every line of ``length`` bytes hashed to 7: two
+    distinct lines of that length share a hash."""
+    real = dataset_module._line_hashes
+
+    def hashes(view, starts, lengths):
+        h = real(view, starts, lengths)
+        h[lengths == length] = 7
+        return h
+    return hashes
+
+
+class TestBlockEnds:
+    """read_csv takes the lines in blocks of ``_BLOCK`` lines, searching
+    ``_WINDOW`` bytes for line ends at a time.  Both are patched down here so
+    that block ends fall between the lines of small texts: what happens on
+    either side of one must not change the result or the row an error names."""
+
+    @given(csv_texts(), st.sampled_from(["drop_row", "as_category"]),
+           st.integers(1, 4), st.sampled_from([1, 3, 8, 2**20]), st.booleans())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_small_blocks_match_reference(self, tmp_path, text, policy, block, window, collide):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset_module, "_BLOCK", block)
+            mp.setattr(dataset_module, "_WINDOW", window)
+            if collide:  # e.g. "a" and "b", or "c,b" and "a,a"
+                mp.setattr(dataset_module, "_line_hashes", _colliding_lengths(len("c,b")))
+            _check_file_and_stream(tmp_path / "t.csv", text, policy)
+
+    # Ten data lines of five bytes; the event takes data line ``at`` (and the
+    # line before it, for a pair).  With blocks of 4 lines, data lines 3 and
+    # 4 end and start a block; a 1-byte window makes every line a block.
+    EVENTS = {
+        "first occurrence": ["zz,ww"],
+        "missing cell": ["xx,"],
+        "ragged row": ["xx,yy,zz"],
+        "two ragged rows": ["x,y,z", "xx"],
+        "hash collision": ["a,1", "b,2"],
+    }
+
+    @pytest.mark.parametrize("block,window", [(4, 2**20), (2**16, 1), (3, 13)])
+    @pytest.mark.parametrize("at", [3, 4, 5])
+    @pytest.mark.parametrize("event", sorted(EVENTS))
+    @pytest.mark.parametrize("policy", ["drop_row", "as_category"])
+    def test_events_around_a_block_end(self, monkeypatch, tmp_path, block, window, at,
+                                       event, policy):
+        lines = ["xx,yy", "xx,vv"] * 5
+        pair = self.EVENTS[event]
+        lines[at - len(pair) + 1:at + 1] = pair
+        if event != "hash collision":
+            lines[at + 2] = pair[0]  # and once more, two lines on
+        text = "A,B\n" + "\n".join(lines) + "\n"
+        monkeypatch.setattr(dataset_module, "_BLOCK", block)
+        monkeypatch.setattr(dataset_module, "_WINDOW", window)
+        if event == "hash collision":
+            monkeypatch.setattr(dataset_module, "_line_hashes", _colliding_lengths(3))
+        checks = _spy(monkeypatch, "_same_lines")
+        _check_file_and_stream(tmp_path / "t.csv", text, policy)
+        outcome = _outcome(lambda: read_csv(io.StringIO(text), policy))
+        row = {"ragged row": at + 2, "two ragged rows": at + 1}.get(event)  # header: row 1
+        if row:
+            assert outcome == f"row {row} has 3 cells, expected 2"
+        if event == "hash collision":
+            assert False in [same for _, same in checks]  # caught, then factorized decoded
+
+    def test_read_csv_memory_follows_bytes_and_codes(self, tmp_path):
+        """200k lines of a flu-like table: besides the file's bytes and the
+        codes, only one block's temporaries (about a hundred bytes a line)."""
+        rng = np.random.default_rng(11)
+        codes = np.column_stack([rng.integers(0, 3, 200_000), rng.integers(0, 2, (200_000, 5))])
+        path = tmp_path / "flu.csv"
+        path.write_text("Y,X1,X2,R3,R4,S5\n" + "".join(",".join(map(str, r)) + "\n"
+                                                      for r in codes.tolist()))
+        tracemalloc.start()
+        try:
+            ds = read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(ds.labels(nm).tolist() == list(map(str, codes[:, j]))
+                   for j, nm in enumerate(ds.names))
+        bound = path.stat().st_size + 2 * ds.records.nbytes + 100 * dataset_module._BLOCK
+        assert peak < bound, (peak, bound)
 
 
 class TestContingency:

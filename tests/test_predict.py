@@ -12,6 +12,8 @@ from catassoc import (
     Dataset,
     Variable,
     association_matrix,
+    composite,
+    gen_flu,
     joint_from_counts,
     population_joint_flu,
     proportional_predict,
@@ -128,6 +130,65 @@ class TestSplitValidate:
         rows = res.test_confusion.counts.sum(axis=1)
         norm = res.test_confusion.normalized
         assert np.allclose(norm[rows > 0].sum(axis=1), 1.0, atol=1e-12)
+
+
+def _permutation_split_validate(ds, x, y, train_frac, seed, stratify):
+    """split_validate's split drawn by ``rng.permutation``, and its counts
+    and predictions taken through ``composite()``'s int64 cell codes."""
+    rng = np.random.default_rng(seed)
+    if stratify:
+        halves = []
+        for cat in range(ds.var(y).size):
+            members = np.flatnonzero(ds.codes(y) == cat)
+            members = members[rng.permutation(members.size)]
+            k = int(round(train_frac * members.size))
+            halves.append((members[:k], members[k:]))
+        train, test = (np.concatenate(h) for h in zip(*halves))
+    else:
+        perm = rng.permutation(ds.n_records)
+        n_train = int(round(train_frac * ds.n_records))
+        train, test = perm[:n_train], perm[n_train:]
+    comp = composite(ds, [x] if isinstance(x, str) else x)
+    cells, codes, ny = comp.codes, ds.codes(y).astype(np.int64), ds.var(y).size
+    counts = np.bincount(cells[train] * ny + codes[train], minlength=comp.size * ny)
+    counts = counts.reshape(comp.size, ny)
+    mass = counts.sum(axis=1)
+    usable = mass[cells[test]] > 0
+    preds = _draw(counts / np.maximum(mass, 1)[:, None], rng.random(int(usable.sum())),
+                  cells[test][usable])
+    confusion = np.bincount(codes[test][usable] * ny + preds, minlength=ny * ny)
+    return (association_matrix(joint_from_counts(counts)).gamma.tolist(),
+            confusion.reshape(ny, ny).tolist(), train.size, test.size, int((~usable).sum()))
+
+
+class TestSplitAsPermutation:
+    """split_validate shuffles a narrow arange and counts narrow cell codes;
+    the split, the fitted matrix and every prediction are those of
+    ``rng.permutation`` and ``composite()``."""
+
+    @pytest.mark.parametrize("m,seed", [(2, 0), (255, 11), (257, 12345), (3000, 7),
+                                        (65_537, 3)])
+    def test_shuffled_arange_is_the_permutation(self, m, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        perm = np.arange(m, dtype=np.min_scalar_type(m - 1))
+        b.shuffle(perm)
+        assert perm.tolist() == a.permutation(m).tolist()
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("m,seed", [(40, 0), (257, 11), (3000, 12345), (65_537, 5)])
+    @pytest.mark.parametrize("x", ["X", ["X", "Z"], ["Z", "X", "W"]])
+    @pytest.mark.parametrize("stratify", [False, True])
+    def test_matches_permutation_and_composite(self, m, seed, x, stratify):
+        rng = np.random.default_rng(seed)
+        sizes = {"X": 4, "Z": 3, "W": 90, "Y": 3}
+        codes = rng.integers(0, list(sizes.values()), (m, 4))
+        codes[:, 3] = np.where(rng.random(m) < 0.7, codes[:, 0] % 3, codes[:, 3])
+        codes[:3, 3] = [0, 1, 2]  # every response category occurs
+        ds = Dataset([Variable(nm, tuple(map(str, range(k)))) for nm, k in sizes.items()], codes)
+        res = split_validate(ds, x, "Y", train_frac=0.7, seed=seed, stratify=stratify)
+        expected = _permutation_split_validate(ds, x, "Y", 0.7, seed, stratify)
+        assert (res.train_gamma.gamma.tolist(), res.test_confusion.counts.tolist(),
+                res.n_train, res.n_test, res.skipped_unseen) == expected
 
 
 class TestExpectedConfusionEqualsMatrix:
@@ -252,4 +313,17 @@ class TestSplitValidateMemory:
             tracemalloc.stop()
         assert res.test_confusion.counts.sum() == res.n_test == 20_000
         assert peak < 30 * 2**20, peak
+
+    def test_flu_split_memory_is_per_record(self):
+        """A split of 200k flu records over the composite (X1, X2) holds the
+        cell codes and the permutation at their narrowest width."""
+        ds = gen_flu(200_000, seed=4)
+        tracemalloc.start()
+        try:
+            res = split_validate(ds, ["X1", "X2"], "Y", seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_train + res.n_test == ds.n_records
+        assert peak < 20 * ds.n_records, peak
 

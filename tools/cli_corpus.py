@@ -15,10 +15,12 @@ exits 1 when any command differs.
 
 The corpus covers every subcommand and format, error paths, the five
 bundled fixtures, 60 seeded random CSVs, 3 wide ones, two administrative
-ones with many repeated records, CSVs with a constant column, and two
+ones with many repeated records, CSVs with a constant column, two
 with CRLF or no final newline, a blank line, long lines and labels that
-are not ASCII: about 3,200 commands, recorded in about 20 s on a 2-core
-Xeon virtual machine.
+are not ASCII, and three of 2^16 + 8 records with a new label, a
+missing cell or a ragged row just past read_csv's first block of lines:
+about 3,300 commands, recorded in about 25 s on a 2-core Xeon virtual
+machine.
 """
 
 from __future__ import annotations
@@ -121,6 +123,15 @@ def _write_inputs(root: Path) -> dict[str, list[str]]:
     inputs["missing.csv"] = ["A", "B", "Y"]
     (root / "quoted.csv").write_bytes(b'X1,"X2",Y\n"a,b",x,0\nc,"y ""z""",1\nc,x,1\n')
     inputs["quoted.csv"] = ["X1", "X2", "Y"]
+    # 2^16 + 8 records, so that read_csv's first block of lines ends within
+    # each file: a label first seen, a missing cell or a ragged row is the
+    # first line after it (data line 2^16 + 1) and again three lines on.
+    rows = [[f"a{i % 3}", f"b{i % 4}", f"y{(i % 3 + (i % 5 == 0)) % 2}"] for i in range(2**16 + 6)]
+    for name, row in (("block_late.csv", ["a9", "b1", "y1"]), ("block_gap.csv", ["a1", "", "y0"]),
+                      ("block_ragged.csv", ["a1", "b0", "y0", "z"])):
+        csv(name, ["A", "B", "Y"], rows[:2**16] + [row] + rows[2**16:2**16 + 2] + [row]
+            + rows[2**16 + 2:])
+    inputs["block_late.csv"] = inputs["block_gap.csv"] = ["A", "B", "Y"]
     (root / "latin1.csv").write_bytes(b"A,Y\na,0\n\xff,1\n")
     (root / "ragged.csv").write_bytes(b"A,B,Y\na,b,0\nc,1\n")
     (root / "dup.csv").write_bytes(b"A,A,Y\na,b,0\n")
@@ -169,10 +180,13 @@ def corpus(inputs: dict[str, list[str]]) -> list[tuple[list[str], dict]]:
     for name, cols in FIXTURE_COLUMNS.items():
         cmds += _data_commands(name, cols, full=True)
     for name, cols in inputs.items():
-        cmds += _data_commands("{dir}/" + name, cols, full=not name.startswith("gen"))
+        cmds += _data_commands("{dir}/" + name, cols, full=not name.startswith(("gen", "block")))
     d = "{dir}/"
     cmds += [
         ["tau", "-i", d + "missing.csv", "--missing", "as_category", "--x", "A", "--y", "Y"],
+        ["tau", "-i", d + "block_gap.csv", "--missing", "as_category", "--x", "B", "--y", "Y"],
+        ["validate", "-i", d + "block_gap.csv", "--missing", "as_category", "--x", "A,B",
+         "--y", "Y", "--seed", "3", "--format", "json"],
         ["tau", "-i", "loan", "--x", "Age", "--y", "Risk", "--weights-file", d + "w3.csv"],
         ["tau", "-i", "loan", "--x", "Age", "--y", "Risk", "--weights-file", d + "w_bad.csv"],
         ["tau", "-i", "loan", "--x", "Age", "--y", "Risk", "--weights-file", d + "w_nan.csv"],
@@ -226,7 +240,8 @@ def corpus(inputs: dict[str, list[str]]) -> list[tuple[list[str], dict]]:
                  ("Nope", "Nope"), (",", "Risk")):
         cmds += [[c, "-i", "loan", "--x", x, "--y", y] for c in
                  ("matrix", "vector", "tau", "validate")]
-    for src in ("latin1.csv", "ragged.csv", "dup.csv", "empty.csv", "nope.csv"):
+    for src in ("latin1.csv", "ragged.csv", "block_ragged.csv", "dup.csv", "empty.csv",
+                "nope.csv"):
         cmds += [["tau", "-i", d + src, "--x", "A", "--y", "Y"],
                  ["basis", "-i", d + src]]
     for c in ("const_y.csv", "one_col.csv"):
