@@ -89,10 +89,10 @@ def _frozen(a, dtype, order: str = "K") -> np.ndarray:
 
 
 def _code_dtype(sizes: Iterable[int]) -> np.dtype:
-    """Narrowest unsigned dtype holding every code below the largest of the
-    domain ``sizes``: uint8 up to 256 categories, uint16 up to 65,536,
-    uint32 above."""
-    return np.min_scalar_type(max(sizes, default=1) - 1)
+    """Narrowest dtype holding every code below the largest of ``sizes``: uint8 up to
+    256, uint16 up to 65,536, uint32 up to 2^32, then int64 (bincount takes no uint64)."""
+    top = max(sizes, default=1) - 1
+    return np.min_scalar_type(top) if top < 2**32 else np.dtype(np.int64)
 
 
 class Dataset:
@@ -108,9 +108,8 @@ class Dataset:
         code column is contiguous, in the narrowest unsigned dtype that
         holds codes below the largest domain size (uint8 up to 256
         categories, uint16 up to 65,536, uint32 above).  An input already
-        of that dtype and layout is stored without a copy.  Numpy keeps
-        ``uint8 * int`` as uint8 and wraps it around, so arithmetic on the
-        codes must widen them first (``astype(np.int64)``).
+        of that dtype and layout is stored without a copy.  Numpy wraps
+        ``uint8 * int`` around: widen the codes before arithmetic.
     """
 
     def __init__(self, variables: Sequence[Variable], records: np.ndarray):
@@ -171,8 +170,7 @@ class Dataset:
         return self._index[name]
 
     def codes(self, name: str) -> np.ndarray:
-        """Dense code column for one variable, in the stored unsigned dtype
-        of ``records``: widen it (``astype(np.int64)``) before arithmetic."""
+        """Dense code column for one variable, in the stored dtype of ``records``."""
         return self._records[:, self.position(name)]
 
     def labels(self, name: str) -> np.ndarray:
@@ -493,7 +491,9 @@ def _term(words: np.ndarray, k) -> np.ndarray:
     hashes, in place.  A zero word adds 0, so the columns past a line's end
     add nothing."""
     words *= (np.asarray(k, np.uint64).reshape(-1) << 1 | 1) * 0x9E3779B97F4A7C15
-    words ^= words >> 29
+    words ^= words >> 30  # two rounds, as SplitMix64: with one, high bytes could cancel
+    words *= 0xBF58476D1CE4E5B9
+    words ^= words >> 27
     return words
 
 
@@ -577,7 +577,7 @@ def _factorize_lines(buf: bytearray, lo: int, n: int, errors: str
         index, new = slot_index[slot], np.flatnonzero(slot_hash[slot] != h)
         if new.size:
             codes, firsts = _first_order(*_compact(h[new], 2**64))
-            index[new] = codes + f_starts.size
+            index[new] = codes + np.int64(f_starts.size)  # the ranks are narrow
             new = new[firsts]
             f_starts = np.concatenate((f_starts, starts[new]))
             f_lengths = np.concatenate((f_lengths, lengths[new]))
@@ -664,24 +664,34 @@ def _dense(n_keys: int, n_records: int) -> bool:
 
 
 def _compact(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
-    """Rank of each key among the observed keys in sorted order (the
-    inverse ``np.unique`` returns), and the number of observed keys.
-    ``keys`` lie in ``range(n_keys)``; a dense range is ranked by counting."""
+    """Rank of each key among the observed keys in sorted order (the inverse
+    ``np.unique`` returns) at its narrowest width, and the number of observed
+    keys.  ``keys`` lie in ``range(n_keys)``; a dense range is ranked by counting."""
     if _dense(n_keys, keys.size):
-        rank = np.cumsum(np.bincount(keys, minlength=n_keys) > 0) - 1
-        return rank[keys], int(rank[-1]) + 1
+        seen = np.bincount(keys, minlength=n_keys) > 0
+        n = int(np.count_nonzero(seen))
+        # Summed at the ranks' width, modulo which an observed key's sum less 1 is its rank.
+        return (np.cumsum(seen, dtype=_code_dtype([n])) - 1)[keys], n
     observed, codes = np.unique(keys, return_inverse=True)
-    return codes, observed.size
+    return codes.astype(_code_dtype([observed.size])), observed.size
+
+
+def _join(keys: np.ndarray, n_keys: int, x: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """Key ``keys * size + x`` of ``keys`` in ``range(n_keys)`` and ``x`` in ``range(size)``,
+    and its range: every composite key is built here, at the narrowest width holding both."""
+    joined = keys.astype(_code_dtype([n_keys * size, size + 1]))
+    joined *= size
+    np.add(joined, x, out=joined, casting="unsafe")  # drawn codes x are signed
+    return joined, n_keys * size
 
 
 def _fold(ds: Dataset, names: Sequence[str],
           most: int | None = None) -> tuple[np.ndarray, int] | None:
-    """Mixed-radix key of each record's codes over ``names``, and the key
-    range.  Keys sort as the code tuples do.  The key is re-ranked by
-    :func:`_compact` only when the next part would make its range too
-    large to count; the cost is a few passes over the records per part.
-    None once a re-ranked prefix of ``names`` has more than ``most``
-    observed keys: the whole composite has as many or more."""
+    """Mixed-radix key of each record's codes over ``names``, joined part by part
+    (:func:`_join`), and the key range; keys sort as the code tuples do.  The key is
+    re-ranked by :func:`_compact` only when the next part would make its range too large
+    to count: a few passes over the records per part.  None once a re-ranked prefix of
+    ``names`` has more than ``most`` observed keys: the whole composite has as many or more."""
     names = list(names)
     if not names:
         raise DataError("composite needs at least one variable")
@@ -694,10 +704,7 @@ def _fold(ds: Dataset, names: Sequence[str],
             keys, n_keys = _compact(keys, n_keys)
             if most is not None and n_keys > most:
                 return None
-        # At the new range's narrowest dtype; size == n_keys * size only if keys are 0.
-        keys = keys.astype(_code_dtype([n_keys * size])) * min(size, n_keys * size - 1)
-        keys += ds.codes(nm)
-        n_keys *= size
+        keys, n_keys = _join(keys, n_keys, ds.codes(nm), size)
     return keys, n_keys
 
 
@@ -706,15 +713,15 @@ def _pair_counts(keys: np.ndarray, n_keys: int, y: np.ndarray | None = None,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Observed (cell, response) pairs of a composite in sorted key order, as
     :func:`composite` orders cells: each pair's count n_is, its cell's count
-    n_i and its response code (0 without one).  ``keys`` lie in
-    ``range(n_keys)``; memory is linear in the records.  A record of positive
-    integer ``weights`` counts as that many (exact while they sum below 2^53)."""
+    n_i and its response code (0 without one).  ``keys`` lie in ``range(n_keys)``,
+    joined to ``y`` by :func:`_join`; memory is linear in the records.  A record of
+    positive integer ``weights`` counts as that many (exact while they sum below 2^53)."""
     if not _dense(n_keys * n_y, keys.size):
         keys, n_keys = _compact(keys, n_keys)
     if y is not None:
-        keys = keys.astype(np.int64, copy=False) * n_y + y  # stored codes are narrow
-    if _dense(n_keys * n_y, keys.size):
-        n_is = np.bincount(keys, weights, minlength=n_keys * n_y)
+        keys, n_keys = _join(keys, n_keys, y, n_y)
+    if _dense(n_keys, keys.size):
+        n_is = np.bincount(keys, weights, minlength=n_keys)
         return _table_pairs(n_is.astype(np.int64, copy=False), n_y)
     if weights is None:
         pairs, n_is = np.unique(keys, return_counts=True)
@@ -782,10 +789,9 @@ def _step_pairs(keys: np.ndarray, n_keys: int, y: np.ndarray | None, n_y: int,
             j, n = j + 1, m
         group, i = parts[i:j], j
         if not _dense(n, keys.size):
-            x, size = group[0]
-            yield _pair_counts(keys * size + x, n_keys * size, y, n_y, weights)
+            yield _pair_counts(*_join(keys, n_keys, *group[0]), y, n_y, weights)
             continue
-        key = keys.astype(np.min_scalar_type(n - 1))
+        key = keys.astype(_code_dtype([n]))
         for x, size in [(y, n_y)] * (y is not None) + group:
             key *= min(size, n - 1)  # only an all-zero key meets size == n
             key += x
@@ -816,7 +822,7 @@ def composite(ds: Dataset, names: Sequence[str]) -> CompositeVariable:
     rows[codes] = np.arange(codes.size)
     labels = [list(map(ds.var(nm).domain.__getitem__, ds.codes(nm)[rows].tolist()))
               for nm in names]
-    return CompositeVariable(tuple(names), tuple(zip(*labels)), codes)
+    return CompositeVariable(tuple(names), tuple(zip(*labels)), codes.astype(np.int64))
 
 
 VarSpec = Union[str, Sequence[str], CompositeVariable]
@@ -839,10 +845,8 @@ def contingency(ds: Dataset, x: VarSpec, y: str) -> ContingencyTable:
     if y in parts:
         raise DataError(f"response {y!r} overlaps the explanatory parts")
     yv = ds.var(y)
-    y_codes = ds.codes(y)
     nx, ny = len(x_domain), yv.size
-    counts = np.bincount(x_codes.astype(np.int64) * ny + y_codes,
-                         minlength=nx * ny).reshape(nx, ny)
+    counts = np.bincount(_join(x_codes, nx, ds.codes(y), ny)[0], minlength=nx * ny).reshape(nx, ny)
     return ContingencyTable(x_name, y, tuple(x_domain), yv.domain, counts)
 
 
@@ -896,6 +900,6 @@ class WeightedPopulation:
         if y in xs:
             raise DataError(f"response {y!r} overlaps the explanatory parts")
         x, yv = composite(self.support, xs), self.support.var(y)
-        p = np.bincount(x.codes * yv.size + self.support.codes(y), self.probs,
+        p = np.bincount(_join(x.codes, x.size, self.support.codes(y), yv.size)[0], self.probs,
                         minlength=x.size * yv.size).reshape(x.size, yv.size)
         return JointDistribution(p / p.sum(), x.domain, yv.domain)

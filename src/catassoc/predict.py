@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import AssociationMatrix, JointLike, _as_joint, association_matrix
-from .dataset import (CompositeVariable, Dataset, _code_dtype, _compact, _fold, _frozen,
+from .dataset import (CompositeVariable, Dataset, _code_dtype, _compact, _fold, _frozen, _join,
                       joint_from_counts)
 from .errors import DataError
 
@@ -132,8 +132,7 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
         rng.shuffle(perm)
         train_idx, test_idx = perm[:n_train], perm[n_train:]
 
-    # composite()'s cells without its labels (the association matrix holds none),
-    # at a width that holds every (cell, response) key and ny, as stored codes do.
+    # composite()'s cells without its labels (the association matrix holds none)
     if isinstance(x, CompositeVariable):
         parts, cells, nx = x.parts, x.codes, x.size
     else:
@@ -143,9 +142,8 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
         raise DataError(f"response {y!r} overlaps the explanatory parts")
     y_codes = ds.codes(y)
     ny = ds.var(y).size
-    cells = cells.astype(np.min_scalar_type(nx * ny), copy=False)
 
-    counts_train = np.bincount(cells[train_idx] * ny + y_codes[train_idx],
+    counts_train = np.bincount(_join(cells[train_idx], nx, y_codes[train_idx], ny)[0],
                                minlength=nx * ny).reshape(nx, ny)
     if (counts_train.sum(axis=0) == 0).any():
         raise DataError("a response category is absent from the training split")
@@ -159,9 +157,9 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
     tx = cells[test_idx]
     usable = seen[tx]
     skipped = int((~usable).sum())
-    tx, ty = tx[usable].astype(np.intp), y_codes[test_idx][usable].astype(np.int64)
-    preds = _draw(cond, rng.random(tx.size), tx)
-    confusion = np.bincount(ty * ny + preds, minlength=ny * ny).reshape(ny, ny)
+    preds = _draw(cond, rng.random(tx.size - skipped), tx[usable].astype(np.intp))
+    confusion = np.bincount(_join(y_codes[test_idx][usable], ny, preds, ny)[0],
+                            minlength=ny * ny).reshape(ny, ny)
     cm = ConfusionMatrix(confusion, ds.var(y).domain)
 
     occupied = confusion.sum(axis=1) > 0

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .association import WeightVector, _group_sum, _pair_tau
-from .dataset import Dataset, _frozen, composite
+from .dataset import Dataset, _frozen, _join, composite
 from .errors import DataError, NumericDomainError
 from .selection import _resolve_weights, tau_joint
 
@@ -142,18 +142,19 @@ def count_bootstrap(ds: Dataset, y: str, fullset: Sequence[str],
     y_domain = ds.var(y).domain
     n_y = len(y_domain)
     comps = [composite(ds, names) for names in sets]
-    keys, first, n_is = np.unique(comps[0].codes * n_y + ds.codes(y),
+    keys, first, n_is = np.unique(_join(comps[0].codes, comps[0].size, ds.codes(y), n_y)[0],
                                   return_index=True, return_counts=True)
     s = keys % n_y
     # Each set's pairs in key order, and the one holding each full-set pair.
-    groups = [np.unique(c.codes[first] * n_y + s, return_inverse=True) for c in comps]
+    groups = [np.unique(_join(c.codes[first], c.size, s, n_y)[0], return_inverse=True)
+              for c in comps]
     degrees = np.empty((len(comps), B))
     done = 0
     for counts in _pair_draws(n_is, s, n_y, B, seed):
         for (set_keys, holder), out in zip(groups, degrees):
             cells, set_s = np.divmod(set_keys, n_y)
             c_is = _group_sum(counts, holder, set_keys.size)
-            c_i = np.maximum(_group_sum(c_is, cells, cells[-1] + 1), 1)[:, cells]
+            c_i = np.maximum(_group_sum(c_is, cells, int(cells[-1]) + 1), 1)[:, cells]
             out[done:done + len(counts)] = _pair_tau((c_is, c_i, set_s), y_domain, weights)
         done += len(counts)
     if subset is None:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .association import WeightVector, _pair_tau, make_weights
-from .dataset import Dataset, _compact, _fold, _pair_counts, _step_pairs
+from .dataset import Dataset, _compact, _fold, _join, _pair_counts, _step_pairs
 from .errors import DataError
 
 #: Default improvement threshold on exact (non-sampled) data.
@@ -118,15 +118,13 @@ def _forward_backward(ds: Dataset, candidates: list[str],
     counts each candidate as the last part of the chosen composite, in
     groups of candidates whose joint range is small enough to count at
     once (:func:`_step_pairs`): one narrow key and one ``bincount`` per
-    group.  Backward: in reverse pick order, drop each variable whose
-    removal moves the score of the kept set by at most ``eps``.  Records
-    count by ``weights`` as in :func:`_pair_counts`.
+    group; a pick joins the narrow chosen cells (:func:`_join`).  Backward: in
+    reverse pick order, drop each variable whose removal moves the score of the
+    kept set by at most ``eps``.  Records count by ``weights`` as in :func:`_pair_counts`.
     """
     y_codes, n_y = (ds.codes(y), ds.var(y).size) if y is not None else (None, 1)
     chosen: list[str] = []
-    # No variables: every record in cell 0, one int64 zero for all of them.
-    # The chosen cells are int64, so a pick's narrow codes added to them widen.
-    codes, n_cells = np.broadcast_to(np.int64(0), ds.n_records), 1
+    codes, n_cells = np.broadcast_to(np.uint8(0), ds.n_records), 1  # no variables: one cell
     steps: list[ForwardStep] = []
     current = start
     remaining = list(candidates)
@@ -144,8 +142,7 @@ def _forward_backward(ds: Dataset, candidates: list[str],
         remaining.remove(pick)
         steps.append(ForwardStep(pick, best_val, scores))
         current = best_val
-        size = ds.var(pick).size
-        codes, n_cells = _compact(codes * size + ds.codes(pick), n_cells * size)
+        codes, n_cells = _compact(*_join(codes, n_cells, ds.codes(pick), ds.var(pick).size))
 
     kept = list(chosen)
     pruned: list[str] = []

@@ -308,6 +308,18 @@ class TestLineHashCollisions:
         assert [same for _, same in checks] == [False, False]
 
 
+    def test_lines_that_differ_in_two_words_hash_apart(self):
+        """Two lines of a flu table with an ID column that differ in two
+        words: their terms must not cancel in the sum, or a file holding
+        both is factorized decoded, line by line."""
+        a, b = b"r869706,1,1,0,1,0,0", b"r869709,1,1,0,0,0,0"
+        buf = bytearray(a + b"\n" + b + b"\n" + bytes(dataset_module._PAD))
+        view = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
+        h = dataset_module._line_hashes(view, np.array([0, len(a) + 1]),
+                                        np.array([len(a), len(b)]))
+        assert h[0] != h[1]
+
+
 def _colliding_lengths(length):
     """``_line_hashes`` with every line of ``length`` bytes hashed to 7: two
     distinct lines of that length share a hash."""
@@ -373,6 +385,24 @@ class TestBlockEnds:
             assert outcome == f"row {row} has 3 cells, expected 2"
         if event == "hash collision":
             assert False in [same for _, same in checks]  # caught, then factorized decoded
+
+    @pytest.mark.parametrize("n_distinct, block, window", [(300, 64, 2**20), (70_000, 1000, 4096)])
+    def test_distinct_lines_past_a_rank_width(self, monkeypatch, tmp_path, n_distinct, block,
+                                              window):
+        """More distinct lines than 256 or 65,536, met a few at a time: a
+        block's ranks of its new lines are narrower than the running count
+        they are offset by.  An offset that wrapped around would send lines
+        to the decoded fallback: same result, so the checks are watched."""
+        rng = np.random.default_rng(n_distinct)
+        ids = np.concatenate([np.arange(n_distinct), rng.integers(0, n_distinct, n_distinct // 4)])
+        rng.shuffle(ids)
+        text = "ID,V\n" + "".join(f"r{i},{i % 7}\n" for i in ids.tolist())
+        monkeypatch.setattr(dataset_module, "_BLOCK", block)
+        monkeypatch.setattr(dataset_module, "_WINDOW", window)
+        checks = _spy(monkeypatch, "_same_lines")
+        _check_file_and_stream(tmp_path / "t.csv", text)
+        assert checks and all(same for _, same in checks)
+        assert read_csv(io.StringIO(text)).var("ID").size == n_distinct
 
     def test_read_csv_memory_follows_bytes_and_codes(self, tmp_path):
         """200k lines of a flu-like table: besides the file's bytes and the

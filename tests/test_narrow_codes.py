@@ -4,8 +4,13 @@ A dataset stores its codes in the narrowest unsigned dtype, and numpy keeps
 ``uint8 * int`` as uint8, wrapping it around.  Every table below has code
 products (x * n_Y, or one part times the next part's domain size) past 255
 or 65,535, and every count is checked against an int64 reference over
-np.unique that shares no encoding code with the library.
+np.unique that shares no encoding code with the library.  Composite keys
+and their ranks are built at the narrowest width of their range as well
+(``dataset._join`` and ``dataset._compact``), so these are checked at each
+width's boundaries too.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +26,14 @@ from catassoc import (
     association_matrix,
     association_vector,
     contingency,
+    count_bootstrap,
     e2prime,
     equivalence_levels,
+    gen_flu,
     gk_tau_direct,
     joint_from_counts,
     make_weights,
+    retention_ratio,
     select_basis,
     split_validate,
     structural_basis,
@@ -33,14 +41,15 @@ from catassoc import (
     tau_joint,
 )
 
-from catassoc.dataset import _step_pairs
+from catassoc import resample
+from catassoc.dataset import _compact, _fold, _join, _pair_counts, _step_pairs
 
 from conftest import (outcome, reference_forward_backward, reference_population_joint,
                       reference_structural, slow_cells, slow_tau, slow_weights, table_pairs)
 
 
 #: Labels of the largest domain below; a domain of k categories is a prefix.
-_LABELS = tuple(map(str, range(65536)))
+_LABELS = tuple(map(str, range(65537)))
 
 
 def _dataset(columns: dict[str, tuple[int, np.ndarray]]) -> Dataset:
@@ -349,3 +358,123 @@ class TestStepGroups:
         # k, a factor past the key's dtype
         ds = self._table(20_000, [("A", k)], seed=3)
         assert self._check(ds, None, ["A"], monkeypatch) == [(dtype, k, k - 1)]
+
+
+#: Key ranges at each width's boundaries, as (n_keys, size) factors.
+BOUNDARY_FACTORS = [
+    (15, 17), (1, 255), (16, 16), (1, 256), (256, 1), (257, 1), (1, 257),
+    (255, 257), (256, 256), (1, 65536), (65536, 1), (65537, 1), (1, 65537),
+    (65535, 65537), (65536, 65536), (1, 2**32), (641, 6700417), (1, 2**32 + 1)]
+
+
+def _width(top):
+    """Narrowest unsigned dtype holding ``top``; int64 past uint32."""
+    for t in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(t).max:
+            return np.dtype(t)
+    return np.dtype(np.int64)
+
+
+def _codes(rng, m, n, dtype=None):
+    """``m`` codes in ``range(n)``, both ends included, at the width of ``n``."""
+    codes = rng.integers(0, n, m)
+    codes[:2] = 0, n - 1
+    return codes.astype(dtype or _width(n - 1))
+
+
+class TestKeyWidths:
+    """Keys and ranks are built at the narrowest width of their range (and
+    of the factor a key is divided by), and equal int64 keys ranked by
+    np.unique, at and around 2^8, 2^16 and 2^32."""
+
+    @pytest.mark.parametrize("n_keys, size", BOUNDARY_FACTORS)
+    @pytest.mark.parametrize("signed_x", [False, True])
+    def test_join(self, n_keys, size, signed_x):
+        rng = np.random.default_rng(n_keys + size)
+        keys = _codes(rng, 50, n_keys)
+        x = _codes(rng, 50, size, np.int64 if signed_x else None)
+        joined, n = _join(keys, n_keys, x, size)
+        assert n == n_keys * size
+        assert joined.dtype == _width(max(n - 1, size))
+        assert joined.tolist() == (keys.astype(np.int64) * size + x).tolist()
+
+    @pytest.mark.parametrize("k", [255, 256, 257, 65535, 65536, 65537])
+    @pytest.mark.parametrize("spread", [1, 2**32 - 1, 2**32, 2**32 + 1])
+    def test_compact(self, k, spread):
+        # k observed keys over a range of k * spread: counted, or sorted
+        n_keys = k * spread
+        observed = np.arange(k, dtype=np.int64) * spread
+        keys = np.random.default_rng(k).permutation(np.concatenate(
+            [observed, observed[np.arange(300) % k]])).astype(_width(n_keys - 1))
+        ranks, n = _compact(keys, n_keys)
+        assert n == k and ranks.dtype == _width(k - 1)
+        assert ranks.tolist() == np.unique(keys.astype(np.int64), return_inverse=True)[1].tolist()
+
+    @pytest.mark.parametrize("n_keys, size", [f for f in BOUNDARY_FACTORS if max(f) <= 65537])
+    def test_fold(self, n_keys, size):
+        # every category observed, so the parts' ranges are kept
+        rng = np.random.default_rng(n_keys + size)
+        m = max(n_keys, size) + 50
+        a, b = (rng.permutation(np.arange(m) % k) for k in (n_keys, size))
+        ds = _dataset({"A": (n_keys, a), "B": (size, b)})
+        keys, n = _fold(ds, ["A", "B"])
+        assert n == n_keys * size and keys.dtype == _width(max(n - 1, size))
+        ref = np.unique(a * size + b, return_inverse=True)[1]
+        assert np.unique(keys, return_inverse=True)[1].tolist() == ref.tolist()
+        ranks, n_cells = _compact(keys, n)
+        assert ranks.dtype == _width(n_cells - 1) and ranks.tolist() == ref.tolist()
+
+    @pytest.mark.parametrize("n_keys, n_y", BOUNDARY_FACTORS)
+    def test_pair_counts(self, n_keys, n_y):
+        # 60 records: ranges past 1,264 keys are sorted, not counted
+        rng = np.random.default_rng(n_keys + n_y)
+        keys, y = _codes(rng, 60, n_keys), _codes(rng, 60, n_y)
+        pairs, n_is = np.unique(keys.astype(np.int64) * n_y + y, return_counts=True)
+        cells = np.unique(pairs // n_y, return_inverse=True)[1]
+        n_i = np.bincount(cells, n_is)[cells]
+        got = _pair_counts(keys, n_keys, y, n_y)
+        assert [a.tolist() for a in got] == [n_is.tolist(), n_i.tolist(), (pairs % n_y).tolist()]
+
+
+class TestBootstrapKeyWidths:
+    """count_bootstrap keys each variable set's (cell, response) pairs at the
+    narrowest width; the set's pairs in a replicate are the pairs of the
+    records that the replicate's pair counts stand for."""
+
+    @pytest.mark.parametrize("k", [85, 86, 256, 300])
+    def test_subset_of_many_cells(self, k):
+        # k subset cells of 3 responses: keys in uint8 up to 85 cells
+        rng = np.random.default_rng(k)
+        m = 3 * k
+        x, z = rng.permutation(np.arange(m) % k), rng.integers(0, 2, m)
+        y = (x + rng.integers(0, 2, m)) % 3
+        ds = _dataset({"X": (k, x), "Z": (2, z), "Y": (3, y)})
+        weights = slow_weights(ds, "Y", "gk")
+        B, seed = 12, 5
+        got = count_bootstrap(ds, "Y", ["X", "Z"], ["X"], alpha=weights, B=B, seed=seed)
+        pairs, first, n_is = np.unique(slow_cells(ds, ["X", "Z"]) * 3 + y,
+                                       return_index=True, return_counts=True)
+        draws = np.concatenate(list(resample._pair_draws(n_is, pairs % 3, 3, B, seed)))
+        expected = [retention_ratio(ds.take(np.repeat(first, counts)), "Y", ["X"], ["X", "Z"],
+                                    alpha=weights) for counts in draws]
+        assert got.replicates.tolist() == expected
+
+
+class TestSearchMemory:
+    """With the chosen cells, the step keys and the pair keys all at the
+    narrowest width of their range, a search over 200k flu records (uint8
+    codes) peaks at 12 bytes a record or less: int64 chosen cells or pair
+    keys would take 8 bytes a record each."""
+
+    @pytest.mark.parametrize("search", [
+        lambda ds: select_basis(ds, "Y", eps_gain=1e-9),
+        lambda ds: structural_basis(ds)], ids=["select_basis", "structural_basis"])
+    def test_peak_per_record(self, search):
+        ds = gen_flu(200_000, seed=3)
+        tracemalloc.start()
+        try:
+            search(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * ds.n_records, peak / ds.n_records
