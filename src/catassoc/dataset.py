@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from operator import contains, itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -293,28 +294,24 @@ class JointDistribution:
         return self.p_xy.sum(axis=0)
 
 
-def _factorize(keys: Sequence) -> tuple[list, np.ndarray, np.ndarray]:
-    """Distinct keys in first-occurrence order, the index of each key into
-    them, and the position of each distinct key's first occurrence."""
-    index: dict = {}
-    seen_at = np.fromiter(map(index.setdefault, keys, range(len(keys))),
-                          dtype=np.int64, count=len(keys))
-    first = np.fromiter(index.values(), dtype=np.int64, count=len(index))
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[first] = np.arange(len(first))
-    return list(index), rank[seen_at], first
+def _factorize(keys: Sequence) -> tuple[list, np.ndarray]:
+    """Distinct keys in first-occurrence order and the index of each key into them."""
+    # Not ``index.__len__``: a dict whose default factory refers to it is a
+    # reference cycle, kept alive with all its keys until the collector runs.
+    index = defaultdict(count().__next__)
+    codes = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+    return list(index), codes
 
 
 def _dataset(header: Sequence[str] | None, rows: list[Sequence[str]],
-             inverse: np.ndarray, first: np.ndarray,
-             missing_policy: str) -> Dataset:
+             inverse: np.ndarray, missing_policy: str) -> Dataset:
     """Validate factorized rows and expand them to a dataset.
 
     ``rows`` holds the distinct data rows in first-occurrence order; the
     list is emptied, so the rows are freed once encoded.  ``inverse`` maps
-    each data row of the input to its distinct row, and ``first`` gives
-    each distinct row's first position, so errors name the first offending
-    row (the header is row 1).
+    each data row of the input to its distinct row.  As the distinct rows
+    first occur in their order, the first offending one names the first
+    offending row in an error (the header is row 1).
     """
     if missing_policy not in ("drop_row", "as_category"):
         raise DataError(f"unknown missing_policy {missing_policy!r}")
@@ -330,7 +327,8 @@ def _dataset(header: Sequence[str] | None, rows: list[Sequence[str]],
     ragged = np.flatnonzero((lengths != n) & (lengths != 0))
     if ragged.size:
         k = ragged[0]
-        raise DataError(f"row {first[k] + 2} has {lengths[k]} cells, expected {n}")
+        row = int(np.argmax(inverse == k)) + 2
+        raise DataError(f"row {row} has {lengths[k]} cells, expected {n}")
     keep = lengths == n  # blank rows have no cells and are skipped
     missing = np.fromiter(map(contains, rows, repeat(MISSING)),
                           dtype=bool, count=len(rows)) & keep
@@ -349,7 +347,7 @@ def _dataset(header: Sequence[str] | None, rows: list[Sequence[str]],
     rows.clear()
     variables, columns = [], []
     for j, name in enumerate(header):
-        domain, codes, _ = _factorize(list(map(itemgetter(j), kept)))
+        domain, codes = _factorize(list(map(itemgetter(j), kept)))
         variables.append(Variable(name, tuple(domain)))
         columns.append(codes.astype(_code_dtype([len(domain)])))
     del kept
@@ -379,8 +377,8 @@ def ingest_records(rows: Iterable[Sequence[str]],
     header = next(it, None)
     if header is not None:
         header = [str(h) for h in header]
-    distinct, inverse, first = _factorize([tuple(map(str, row)) for row in it])
-    return _dataset(header, distinct, inverse, first, missing_policy)
+    distinct, inverse = _factorize([tuple(map(str, row)) for row in it])
+    return _dataset(header, distinct, inverse, missing_policy)
 
 
 def _decode(data, errors: str = "strict") -> str:
@@ -515,21 +513,6 @@ def _line_hashes(view: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> n
     return h
 
 
-def _first_order(codes: np.ndarray, n_codes: int) -> tuple[np.ndarray, np.ndarray]:
-    """``codes`` in ``range(n_codes)``, all observed, re-ranked in place to
-    the order of their first occurrence, and the position of each one's
-    first.  The first positions are sorted by marking them, not by sorting
-    them: a million distinct codes sort in ~0.1 s."""
-    first = np.full(n_codes, codes.size)
-    np.minimum.at(first, codes, np.arange(codes.size))
-    is_first = np.zeros(codes.size, bool)
-    is_first[first] = True
-    first = np.flatnonzero(is_first)
-    rank = np.empty(n_codes, np.int64)
-    rank[codes[first]] = np.arange(n_codes)
-    return np.take(rank, codes, out=codes), first
-
-
 def _same_lines(view: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
                 f_starts: np.ndarray, f_lengths: np.ndarray) -> bool:
     """Whether each line equals the line of ``f_lengths`` bytes at ``f_starts``."""
@@ -555,30 +538,34 @@ def _slot_table(hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factorize_lines(buf: bytearray, lo: int, n: int, errors: str
-                     ) -> tuple[list[tuple], np.ndarray, np.ndarray] | None:
+                     ) -> tuple[list[tuple], np.ndarray] | None:
     """The distinct lines of ``buf[lo:n]`` parsed as rows, in first-occurrence
-    order, the index of each line into them and each one's first position,
-    as :func:`_factorize` and :func:`csv.reader` give them; None if a line
-    differs from the first line of its hash.
+    order, and the index of each line into them, as :func:`_factorize` and
+    :func:`csv.reader` give them; None if a line differs from the first line
+    of its hash.
 
     The lines are taken in blocks, in input order.  A line whose hash is in
     the slot table of the distinct hashes takes its index; the others are
-    ranked by sorting, and the first line of each new hash is parsed at
-    once.  Every line is checked to equal the first line of its index.  A
-    hash that lost its slot gives equal lines a second index: same records."""
+    ranked by sorting their hashes, in the order of each hash's first line,
+    and that line is parsed at once.  Every line is checked to equal the
+    first line of its index.  A hash that lost its slot gives equal lines a
+    second index: same records."""
     view = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
     f_starts = f_lengths = np.empty(0, np.int64)
     f_hashes = np.empty(0, np.uint64)
     slot_hash, slot_index = _slot_table(f_hashes)
-    rows, inverse, first, line = [], [np.empty(0, np.uint8)], [f_starts], 0
+    rows, inverse = [], [np.empty(0, np.uint8)]
     for starts, lengths in _line_blocks(buf, lo, n):
         h = _line_hashes(view, starts, lengths)
         slot = (h & (slot_hash.size - 1)).view(np.int64)
         index, new = slot_index[slot], np.flatnonzero(slot_hash[slot] != h)
         if new.size:
-            codes, firsts = _first_order(*_compact(h[new], 2**64))
-            index[new] = codes + np.int64(f_starts.size)  # the ranks are narrow
-            new = new[firsts]
+            _, firsts, codes = np.unique(h[new], return_index=True, return_inverse=True)
+            order = np.argsort(firsts)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size) + f_starts.size
+            index[new] = rank[codes]
+            new = new[firsts[order]]
             f_starts = np.concatenate((f_starts, starts[new]))
             f_lengths = np.concatenate((f_lengths, lengths[new]))
             f_hashes = np.concatenate((f_hashes, h[new]))
@@ -586,14 +573,12 @@ def _factorize_lines(buf: bytearray, lo: int, n: int, errors: str
                 slot_hash, slot_index = _slot_table(f_hashes)
             else:
                 slot_hash[slot[new]], slot_index[slot[new]] = h[new], index[new]
-            first.append(new + line)
             rows += map(tuple, csv.reader(_lines(buf, starts, lengths, new, errors)))
         if new.size < starts.size and not _same_lines(view, starts, lengths,
                                                       f_starts[index], f_lengths[index]):
             return None
         inverse.append(index.astype(_code_dtype([f_starts.size])))
-        line += starts.size
-    return rows, np.concatenate(inverse), np.concatenate(first)
+    return rows, np.concatenate(inverse)
 
 
 def _lines(buf: bytearray, starts: np.ndarray, lengths: np.ndarray,
@@ -623,14 +608,13 @@ def read_csv(source: Union[str, os.PathLike, io.IOBase],
     distinct line is decoded and parsed once, in the block where it first
     occurs.  So the cost of ingest grows with the input's bytes and the
     number of distinct lines, not with one Python string per record, and
-    besides the bytes only a narrow rank per record outlives its block.  If
-    two distinct lines share a hash, the lines are decoded and factorized
-    one by one instead.  An input holding a quote character (a quoted field
-    may span lines) or a lone carriage return (a line break to the csv
-    module) is parsed whole by :func:`csv.reader`.  Either way the result equals
-    ``ingest_records(csv.reader(f))`` over the file opened with
-    ``newline=""``.  Bytes that are not UTF-8 and fields the csv module
-    rejects raise :class:`DataError`; a text stream is taken as it is.
+    besides the bytes only a narrow rank per record outlives its block.  An
+    input holding a quote character (a quoted field may span lines), a lone
+    carriage return (a line break to the csv module) or two distinct lines
+    that share a hash is parsed whole by :func:`csv.reader` instead.  Either
+    way the result equals ``ingest_records(csv.reader(f))`` over the file
+    opened with ``newline=""``.  Bytes that are not UTF-8 and fields the csv
+    module rejects raise :class:`DataError`; a text stream is taken as it is.
     """
     buf, n, errors = _read_bytes(source)
     if errors == "strict" and not buf.isascii():
@@ -642,15 +626,9 @@ def read_csv(source: Union[str, os.PathLike, io.IOBase],
             head = _decode(memoryview(buf)[:end - (buf[end - 1] == 13)], errors)
             header = next(csv.reader([head]), None) if n else None
             ranked = _factorize_lines(buf, end + 1, n, errors)
-            if ranked is None:  # two distinct lines share a hash: factorize them decoded
-                text = _decode(memoryview(buf)[end + 1:n], errors)
-                lines = text.replace("\r\n", "\n").split("\n")
-                del text
-                distinct, inverse, first = _factorize(lines[:-1] if lines[-1] == "" else lines)
-                del lines
-                ranked = list(map(tuple, csv.reader(distinct))), inverse, first
-            del buf
-            return _dataset(header, *ranked, missing_policy)
+            if ranked is not None:  # else two distinct lines share a hash
+                del buf
+                return _dataset(header, *ranked, missing_policy)
         text = _decode(memoryview(buf)[:n], errors)
         del buf
         return ingest_records(csv.reader(io.StringIO(text, newline="")), missing_policy)
