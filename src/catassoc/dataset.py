@@ -398,7 +398,8 @@ _WIDE = 8
 #: a column is read inside the buffer, also past the last line's end.
 _PAD = 8 * _WIDE
 #: Lines found, hashed, ranked and checked at a time by :func:`read_csv`, so
-#: that besides the buffer only a narrow rank per line grows with the input.
+#: that besides the buffer only a narrow rank per line grows with the input;
+#: also the fewest keys :func:`_count` counts at a time.
 _BLOCK = 2**16
 #: Bytes searched for line ends at a time (:func:`_line_blocks`).
 _WINDOW = 2**20
@@ -641,16 +642,35 @@ def _dense(n_keys: int, n_records: int) -> bool:
     return n_keys <= 4 * n_records + 1024
 
 
+def _count(keys: np.ndarray, n: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """``np.bincount(keys, weights, minlength=n)`` of ``keys`` in ``range(n)``, in blocks of
+    at least :data:`_BLOCK` and ``n`` keys, as ``bincount`` copies narrow keys to intp; integer
+    ``weights`` summing below 2^53 keep every partial sum exact, so the sums are equal."""
+    step = max(_BLOCK, n)
+    counts = np.bincount(keys[:step], None if weights is None else weights[:step], minlength=n)
+    for i in range(step, keys.size, step):
+        counts += np.bincount(keys[i:i + step], None if weights is None else weights[i:i + step],
+                              minlength=n)
+    return counts
+
+
+def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)``, sorted stably (``return_index``): a radix
+    sort for keys of 16 bits or fewer, ~3x faster than numpy's default quicksort of them."""
+    observed, *_, inverse = np.unique(keys, return_index=keys.itemsize <= 2, return_inverse=True)
+    return observed, inverse
+
+
 def _compact(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, int]:
     """Rank of each key among the observed keys in sorted order (the inverse
     ``np.unique`` returns) at its narrowest width, and the number of observed
     keys.  ``keys`` lie in ``range(n_keys)``; a dense range is ranked by counting."""
     if _dense(n_keys, keys.size):
-        seen = np.bincount(keys, minlength=n_keys) > 0
+        seen = _count(keys, n_keys) > 0
         n = int(np.count_nonzero(seen))
         # Summed at the ranks' width, modulo which an observed key's sum less 1 is its rank.
         return (np.cumsum(seen, dtype=_code_dtype([n])) - 1)[keys], n
-    observed, codes = np.unique(keys, return_inverse=True)
+    observed, codes = _unique(keys)
     return codes.astype(_code_dtype([observed.size])), observed.size
 
 
@@ -699,13 +719,13 @@ def _pair_counts(keys: np.ndarray, n_keys: int, y: np.ndarray | None = None,
     if y is not None:
         keys, n_keys = _join(keys, n_keys, y, n_y)
     if _dense(n_keys, keys.size):
-        n_is = np.bincount(keys, weights, minlength=n_keys)
+        n_is = _count(keys, n_keys, weights)
         return _table_pairs(n_is.astype(np.int64, copy=False), n_y)
     if weights is None:
         pairs, n_is = np.unique(keys, return_counts=True)
     else:
-        pairs, inverse = np.unique(keys, return_inverse=True)
-        n_is = np.bincount(inverse, weights).astype(np.int64)
+        pairs, inverse = _unique(keys)
+        n_is = _count(inverse, pairs.size, weights).astype(np.int64)
     return _table_pairs(n_is, n_y, pairs)
 
 
@@ -726,7 +746,7 @@ def _distinct_rows(ds: Dataset) -> tuple[Dataset, np.ndarray | None]:
             if 2 * n_rows <= ds.n_records:
                 one = np.empty(n_rows, dtype=np.int64)
                 one[rows] = np.arange(rows.size)  # one record of each row
-                ds._distinct = ds.take(one), _frozen(np.bincount(rows), np.int64)
+                ds._distinct = ds.take(one), _frozen(_count(rows, n_rows), np.int64)
     rows, weights = ds._distinct
     return (ds if rows is None else rows), weights
 
@@ -773,7 +793,7 @@ def _step_pairs(keys: np.ndarray, n_keys: int, y: np.ndarray | None, n_y: int,
         for x, size in [(y, n_y)] * (y is not None) + group:
             key *= min(size, n - 1)  # only an all-zero key meets size == n
             key += x
-        table = np.bincount(key, weights, minlength=n).astype(np.int64, copy=False)
+        table = _count(key, n, weights).astype(np.int64, copy=False)
         table = table.reshape(n_keys, n_y, *(s for _, s in group))
         del key  # not held while the candidates are scored
         for k in range(2, table.ndim):
@@ -824,7 +844,7 @@ def contingency(ds: Dataset, x: VarSpec, y: str) -> ContingencyTable:
         raise DataError(f"response {y!r} overlaps the explanatory parts")
     yv = ds.var(y)
     nx, ny = len(x_domain), yv.size
-    counts = np.bincount(_join(x_codes, nx, ds.codes(y), ny)[0], minlength=nx * ny).reshape(nx, ny)
+    counts = _count(_join(x_codes, nx, ds.codes(y), ny)[0], nx * ny).reshape(nx, ny)
     return ContingencyTable(x_name, y, tuple(x_domain), yv.domain, counts)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import exact as _exact
 from .association import (WeightVector, _determination, association_matrix,
                           association_vector, tau)
-from .dataset import Dataset, contingency
+from .dataset import Dataset, _count, contingency
 from .errors import DataError, NumericDomainError
 from .selection import _resolve_weights
 
@@ -97,7 +97,7 @@ def equivalence_levels(ds: Dataset, x1: str, x2: str, y: str,
     elif not tol >= 0:  # a negative tol would let level 1 hold without level 3
         raise DataError("tol must be nonnegative")
     for nm in (y, x1, x2):  # each is the response of a tau below
-        n = np.bincount(ds.codes(nm), minlength=ds.var(nm).size)
+        n = _count(ds.codes(nm), ds.var(nm).size)
         if not n.all():
             raise NumericDomainError("response has a zero-probability category"
                                      + ("" if exact else "; drop unused categories first"))

@@ -9,7 +9,8 @@ fit the matrix on a training split, predict proportionally on the test
 split, and compare the tallied confusion rates against the matrix.
 
 Every inverse-CDF draw of the package, here and in :mod:`.simgen`, goes
-through ``_draw``, whose memory is linear in the number of draws.
+through ``_draw``, whose memory is linear in the number of draws and in
+the size of the distributions; :func:`split_validate` draws in blocks.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import AssociationMatrix, JointLike, _as_joint, association_matrix
-from .dataset import (CompositeVariable, Dataset, _code_dtype, _compact, _fold, _frozen, _join,
-                      joint_from_counts)
+from .dataset import (_BLOCK, CompositeVariable, Dataset, _code_dtype, _compact, _count, _fold,
+                      _frozen, _join, joint_from_counts)
 from .errors import DataError
 
 
@@ -81,7 +82,8 @@ def _draw(cond: np.ndarray, u: np.ndarray, rows=0) -> np.ndarray:
     ``cond`` is one distribution or a stack of them; ``rows`` defaults to
     row 0 for every draw.  A draw is the number of CDF entries at or below
     u, so u = 0.0 never selects a zero-probability category behind a flat
-    CDF prefix.
+    CDF prefix.  Memory: the CDFs and, for a stack, their complex keys (16
+    bytes an entry), plus a few complex and intp arrays per draw.
     """
     cdf = np.cumsum(np.atleast_2d(cond), axis=1)
     cdf[:, -1] = 1.0
@@ -105,6 +107,9 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
     whose explanatory value never occurs in training cannot be predicted
     and are skipped (counted in ``skipped_unseen``).  ``max_abs_diff``
     compares matrix entries over test rows with at least one record.
+
+    The test records are drawn and tallied in blocks of at least 65,536 and
+    the training table's size, so only the narrow shuffle grows with them.
     """
     if not 0.0 < train_frac < 1.0:
         raise DataError("train_frac must be strictly between 0 and 1")
@@ -143,8 +148,8 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
     y_codes = ds.codes(y)
     ny = ds.var(y).size
 
-    counts_train = np.bincount(_join(cells[train_idx], nx, y_codes[train_idx], ny)[0],
-                               minlength=nx * ny).reshape(nx, ny)
+    counts_train = _count(_join(cells[train_idx], nx, y_codes[train_idx], ny)[0],
+                          nx * ny).reshape(nx, ny)
     if (counts_train.sum(axis=0) == 0).any():
         raise DataError("a response category is absent from the training split")
     train_gamma = association_matrix(joint_from_counts(counts_train,
@@ -154,15 +159,19 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
     seen = row_mass > 0
     cond = counts_train / np.maximum(row_mass, 1)[:, None]
 
-    tx = cells[test_idx]
-    usable = seen[tx]
-    skipped = int((~usable).sum())
-    preds = _draw(cond, rng.random(tx.size - skipped), tx[usable].astype(np.intp))
-    confusion = np.bincount(_join(y_codes[test_idx][usable], ny, preds, ny)[0],
-                            minlength=ny * ny).reshape(ny, ny)
-    cm = ConfusionMatrix(confusion, ds.var(y).domain)
+    # Consecutive blocks of rng.random are one call's draws, bitwise.
+    confusion, skipped, step = np.zeros(ny * ny, np.int64), 0, max(_BLOCK, cond.size)
+    for i in range(0, test_idx.size, step):
+        block = test_idx[i:i + step]
+        tx = cells[block]
+        usable = seen[tx]
+        tx, block = tx[usable], block[usable]
+        skipped += usable.size - tx.size
+        preds = _draw(cond, rng.random(tx.size), tx.astype(np.intp))
+        confusion += _count(_join(y_codes[block], ny, preds, ny)[0], ny * ny)
+    cm = ConfusionMatrix(confusion.reshape(ny, ny), ds.var(y).domain)
 
-    occupied = confusion.sum(axis=1) > 0
+    occupied = cm.counts.sum(axis=1) > 0
     diff = np.abs(train_gamma.gamma[occupied] - cm.normalized[occupied])
     max_abs_diff = float(diff.max()) if diff.size else 0.0
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .association import WeightVector, _pair_tau, make_weights
-from .dataset import Dataset, _compact, _fold, _join, _pair_counts, _step_pairs
+from .dataset import Dataset, _compact, _count, _fold, _join, _pair_counts, _step_pairs
 from .errors import DataError
 
 #: Default improvement threshold on exact (non-sampled) data.
@@ -65,7 +65,7 @@ class SelectionTrace:
 
 def y_marginal(ds: Dataset, y: str) -> np.ndarray:
     """Plug-in marginal distribution of one variable."""
-    counts = np.bincount(ds.codes(y), minlength=ds.var(y).size)
+    counts = _count(ds.codes(y), ds.var(y).size)
     return counts / ds.n_records
 
 

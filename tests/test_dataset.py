@@ -31,7 +31,8 @@ from catassoc import (
     to_joint,
 )
 from catassoc import dataset as dataset_module
-from catassoc.dataset import _GROUP_CAP, _dense, _distinct_rows, _pair_counts, _step_pairs
+from catassoc.dataset import (_GROUP_CAP, _count, _dense, _distinct_rows, _pair_counts,
+                              _step_pairs, _unique)
 from catassoc.fixtures import loan_dataset
 
 from conftest import coded_datasets, random_dataset
@@ -724,6 +725,49 @@ class TestTake:
             tracemalloc.stop()
         assert sub.records.tolist() == ds.records[idx].tolist()
         assert peak < 1.5 * sub.records.nbytes, peak
+
+
+class TestCount:
+    """Every count over the records is taken in blocks: ``_count`` equals one
+    ``np.bincount``, bitwise and in dtype, for keys of each width, with and
+    without integer weights, on either side of a block end."""
+
+    @given(st.sampled_from([np.uint8, np.uint16, np.uint32, np.int64]),
+           st.integers(1, 8), st.integers(0, 5), st.integers(-1, 1), st.integers(1, 20),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_bincount(self, dtype, block, multiple, offset, n, weighted, seed):
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, n, max(block * multiple + offset, 0)).astype(dtype)
+        # integer weights up to 2^40: their float sums stay exact, so no block order rounds
+        weights = rng.integers(1, 2**40, keys.size) if weighted else None
+        want = np.bincount(keys, weights, minlength=n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset_module, "_BLOCK", block)
+            got = _count(keys, n, weights)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_memory_is_a_block(self):
+        """``np.bincount`` of 1M uint8 keys makes an 8 MB intp copy of them."""
+        keys = np.random.default_rng(3).integers(0, 12, 1_000_000).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            counts = _count(keys, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.tolist() == np.bincount(keys, minlength=12).tolist()
+        assert peak < 2**20, peak
+
+    @given(st.sampled_from([np.uint8, np.uint16, np.uint32, np.int64]),
+           st.lists(st.integers(0, 255), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_unique_ranks_equal_numpys(self, dtype, values):
+        keys = np.array(values, dtype=dtype)
+        got, want = _unique(keys), np.unique(keys, return_inverse=True)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [a.dtype for a in got] == [a.dtype for a in want]
 
 
 class TestPairCountsAgainstUnique:

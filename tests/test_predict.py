@@ -20,6 +20,8 @@ from catassoc import (
     sample_joint,
     split_validate,
 )
+from catassoc import dataset as dataset_module
+from catassoc import predict as predict_module
 from catassoc.predict import _draw
 
 
@@ -132,9 +134,8 @@ class TestSplitValidate:
         assert np.allclose(norm[rows > 0].sum(axis=1), 1.0, atol=1e-12)
 
 
-def _permutation_split_validate(ds, x, y, train_frac, seed, stratify):
-    """split_validate's split drawn by ``rng.permutation``, and its counts
-    and predictions taken through ``composite()``'s int64 cell codes."""
+def _permutation_split(ds, y, train_frac, seed, stratify):
+    """split_validate's generator, training and test records, drawn by ``rng.permutation``."""
     rng = np.random.default_rng(seed)
     if stratify:
         halves = []
@@ -148,6 +149,14 @@ def _permutation_split_validate(ds, x, y, train_frac, seed, stratify):
         perm = rng.permutation(ds.n_records)
         n_train = int(round(train_frac * ds.n_records))
         train, test = perm[:n_train], perm[n_train:]
+    return rng, train, test
+
+
+def _permutation_split_validate(ds, x, y, train_frac, seed, stratify):
+    """split_validate's split drawn by ``rng.permutation``, and its counts
+    and predictions taken through ``composite()``'s int64 cell codes, with
+    every test record's draw taken in one call."""
+    rng, train, test = _permutation_split(ds, y, train_frac, seed, stratify)
     comp = composite(ds, [x] if isinstance(x, str) else x)
     cells, codes, ny = comp.codes, ds.codes(y).astype(np.int64), ds.var(y).size
     counts = np.bincount(cells[train] * ny + codes[train], minlength=comp.size * ny)
@@ -178,7 +187,13 @@ class TestSplitAsPermutation:
     @pytest.mark.parametrize("m,seed", [(40, 0), (257, 11), (3000, 12345), (65_537, 5)])
     @pytest.mark.parametrize("x", ["X", ["X", "Z"], ["Z", "X", "W"]])
     @pytest.mark.parametrize("stratify", [False, True])
-    def test_matches_permutation_and_composite(self, m, seed, x, stratify):
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_matches_permutation_and_composite(self, monkeypatch, m, seed, x, stratify, block):
+        """With ``block`` set, the test records are drawn and tallied in blocks of
+        at least that many records and the training table's size."""
+        if block is not None:
+            monkeypatch.setattr(predict_module, "_BLOCK", block)
+            monkeypatch.setattr(dataset_module, "_BLOCK", block)
         rng = np.random.default_rng(seed)
         sizes = {"X": 4, "Z": 3, "W": 90, "Y": 3}
         codes = rng.integers(0, list(sizes.values()), (m, 4))
@@ -189,6 +204,27 @@ class TestSplitAsPermutation:
         expected = _permutation_split_validate(ds, x, "Y", 0.7, seed, stratify)
         assert (res.train_gamma.gamma.tolist(), res.test_confusion.counts.tolist(),
                 res.n_train, res.n_test, res.skipped_unseen) == expected
+
+    @pytest.mark.parametrize("stratify", [False, True])
+    def test_unseen_cells_in_many_blocks(self, monkeypatch, stratify):
+        """Test records of cells absent from training are skipped in several
+        blocks; the draws of the others are still those of one call."""
+        monkeypatch.setattr(predict_module, "_BLOCK", 5)
+        monkeypatch.setattr(dataset_module, "_BLOCK", 5)
+        rng = np.random.default_rng(8)
+        m, n_x = 3000, 60
+        x = np.where(rng.random(m) < 0.97, 0, rng.integers(1, n_x, m))  # a tail of rare cells
+        y = np.where(rng.random(m) < 0.6, x % 3, rng.integers(0, 3, m))
+        ds = Dataset([Variable("X", tuple(map(str, range(n_x)))), Variable("Y", ("0", "1", "2"))],
+                     np.stack([x, y], 1))
+        res = split_validate(ds, "X", "Y", train_frac=0.7, seed=8, stratify=stratify)
+        expected = _permutation_split_validate(ds, "X", "Y", 0.7, 8, stratify)
+        assert (res.train_gamma.gamma.tolist(), res.test_confusion.counts.tolist(),
+                res.n_train, res.n_test, res.skipped_unseen) == expected
+        _, train, test = _permutation_split(ds, "Y", 0.7, 8, stratify)
+        unseen = np.flatnonzero(~np.isin(x[test], x[train]))
+        step = np.unique(x).size * 3  # the training table's size, here more than the block
+        assert res.skipped_unseen == unseen.size and np.unique(unseen // step).size > 1
 
 
 class TestExpectedConfusionEqualsMatrix:
@@ -326,4 +362,20 @@ class TestSplitValidateMemory:
             tracemalloc.stop()
         assert res.n_train + res.n_test == ds.n_records
         assert peak < 20 * ds.n_records, peak
+
+    def test_flu_split_memory_slope(self):
+        """Past 200k records, a 1M-record split adds at most 8 bytes a record:
+        the permutation's 4 and the training split's narrow codes.  The test
+        records are drawn and tallied in blocks, and every count is blocked
+        (13.4 bytes a record when neither was)."""
+        peaks = []
+        for m in (200_000, 1_000_000):
+            ds = gen_flu(m, seed=4)
+            tracemalloc.start()
+            try:
+                split_validate(ds, ["X1", "X2"], "Y", seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 8 * 800_000, peaks
 

@@ -18,7 +18,9 @@ bundled fixtures, 60 seeded random CSVs, 3 wide ones, two administrative
 ones with many repeated records, CSVs with a constant column, two
 with CRLF or no final newline, a blank line, long lines and labels that
 are not ASCII, and three of 2^16 + 8 records with a new label, a
-missing cell or a ragged row just past read_csv's first block of lines:
+missing cell or a ragged row just past read_csv's first block of lines,
+and one of 160,000 records whose validate test split spans three blocks
+of test records, with cells unseen in training in each:
 about 3,300 commands, recorded in about 25 s on a 2-core Xeon virtual
 machine.
 """
@@ -132,6 +134,14 @@ def _write_inputs(root: Path) -> dict[str, list[str]]:
         csv(name, ["A", "B", "Y"], rows[:2**16] + [row] + rows[2**16:2**16 + 2] + [row]
             + rows[2**16 + 2:])
     inputs["block_late.csv"] = inputs["block_gap.csv"] = ["A", "B", "Y"]
+    # 160,000 records: validate --train 0.1 draws and tallies 144,000 test
+    # records in three blocks of 2^16, and rare X cells absent from the
+    # training split occur in each of them.
+    rng = np.random.default_rng(13)
+    x = np.where(rng.random(160_000) < 0.98, rng.integers(0, 10, 160_000),
+                 rng.integers(10, 1510, 160_000))
+    y = np.where(rng.random(160_000) < 0.6, x % 3, rng.integers(0, 3, 160_000))
+    csv("validate_blocks.csv", ["X", "Y"], ([f"x{p}", f"y{q}"] for p, q in zip(x, y)))
     (root / "latin1.csv").write_bytes(b"A,Y\na,0\n\xff,1\n")
     (root / "ragged.csv").write_bytes(b"A,B,Y\na,b,0\nc,1\n")
     (root / "dup.csv").write_bytes(b"A,A,Y\na,b,0\n")
@@ -228,6 +238,9 @@ def corpus(inputs: dict[str, list[str]]) -> list[tuple[list[str], dict]]:
     cmds += [["basis", "-i", d + name, *m, "--eps", e, "--format", f]
              for name in ("admin.csv", "admin_bad.csv") for m in ([], ["--minimal"])
              for e in ("0", "1e-9", "0.01") for f in ("text", "json")]
+    cmds += [["validate", "-i", d + "validate_blocks.csv", "--x", "X", "--y", "Y",
+              "--train", "0.1", "--seed", seed, "--format", f]
+             for seed in ("3", "8") for f in ("text", "json")]
     for k in range(N_WIDE):
         cmds += [["select", "-i", f"{d}wide{k}.csv", "--response", "Y", "--weights", w,
                   "--eps", e, "--format", "json"]
