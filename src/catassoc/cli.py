@@ -322,10 +322,7 @@ def run(cfg: RunConfig) -> int:
     except NumericDomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError:

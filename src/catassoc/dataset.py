@@ -802,38 +802,50 @@ def _step_pairs(keys: np.ndarray, n_keys: int, y: np.ndarray | None, n_y: int,
             yield _table_pairs(part.transpose(0, 2, 1).ravel(), n_y)
 
 
-def composite(ds: Dataset, names: Sequence[str]) -> CompositeVariable:
-    """Observed-tuple composite of several variables.
+VarSpec = Union[str, Sequence[str], CompositeVariable]
+
+
+def _cells(ds: Dataset, x: VarSpec) -> tuple[tuple[str, ...], np.ndarray, int]:
+    """:func:`composite`'s parts, cell codes and cell count for ``x`` (a name, names or
+    a composite) without its labels: the one place a variable spec becomes cells."""
+    if isinstance(x, CompositeVariable):
+        return x.parts, x.codes, x.size
+    parts = (x,) if isinstance(x, str) else tuple(x)
+    return (parts, *_compact(*_fold(ds, parts)))
+
+
+def _strata(codes: np.ndarray, n: int) -> list[np.ndarray]:
+    """The record indices of each code in ``range(n)``, ascending, at the narrowest
+    width holding them: the one builder of the records of each category."""
+    dtype = _code_dtype([codes.size])
+    return [np.flatnonzero(codes == k).astype(dtype) for k in range(n)]
+
+
+def composite(ds: Dataset, names: VarSpec) -> CompositeVariable:
+    """Observed-tuple composite of several variables (or of one, given its name).
 
     The domain holds only tuples that occur in the data, sorted by part
     codes; its size is bounded by both the record count and the product
     of part domain sizes.  The parts are folded into one integer key
-    (:func:`_fold`) and ranked (:func:`_compact`); labels are read from
-    one record per cell.  Scores that need only the counts of the cells
-    skip the labels and count the observed pairs of the folded key
+    (:func:`_fold`) and ranked (:func:`_compact`) by :func:`_cells`; labels
+    are read from one record per cell.  Scores that need only the counts of
+    the cells skip the labels and count the observed pairs of the folded key
     directly (:func:`_pair_counts`).
     """
-    names = list(names)
-    codes, size = _compact(*_fold(ds, names))
+    names, codes, size = _cells(ds, names)
     # One record of each cell gives the cell's labels.
     rows = np.empty(size, dtype=np.int64)
     rows[codes] = np.arange(codes.size)
     labels = [list(map(ds.var(nm).domain.__getitem__, ds.codes(nm)[rows].tolist()))
               for nm in names]
-    return CompositeVariable(tuple(names), tuple(zip(*labels)), codes.astype(np.int64))
-
-
-VarSpec = Union[str, Sequence[str], CompositeVariable]
+    return CompositeVariable(names, tuple(zip(*labels)), codes.astype(np.int64))
 
 
 def _resolve_x(ds: Dataset, x: VarSpec) -> tuple[str, tuple, np.ndarray, tuple[str, ...]]:
     """Normalize an x-spec to (name, domain, codes, part names)."""
-    if isinstance(x, CompositeVariable):
-        return x.name, x.domain, x.codes, x.parts
     if isinstance(x, str):
-        v = ds.var(x)
-        return v.name, v.domain, ds.codes(x), (x,)
-    comp = composite(ds, list(x))
+        return x, ds.var(x).domain, ds.codes(x), (x,)
+    comp = x if isinstance(x, CompositeVariable) else composite(ds, x)
     return comp.name, comp.domain, comp.codes, comp.parts
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import AssociationMatrix, JointLike, _as_joint, association_matrix
-from .dataset import (_BLOCK, CompositeVariable, Dataset, _code_dtype, _compact, _count, _fold,
-                      _frozen, _join, joint_from_counts)
+from .dataset import (_BLOCK, Dataset, _cells, _code_dtype, _count, _frozen, _join, _strata,
+                      joint_from_counts)
 from .errors import DataError
 
 
@@ -108,8 +108,9 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
     and are skipped (counted in ``skipped_unseen``).  ``max_abs_diff``
     compares matrix entries over test rows with at least one record.
 
-    The test records are drawn and tallied in blocks of at least 65,536 and
-    the training table's size, so only the narrow shuffle grows with them.
+    The narrow index is shuffled per stratum, and test records are drawn and
+    tallied in blocks of at least 65,536 and the training table's size: a split,
+    stratified or not, grows about 7 bytes a record (gen_flu, 200k to 1M records).
     """
     if not 0.0 < train_frac < 1.0:
         raise DataError("train_frac must be strictly between 0 and 1")
@@ -119,30 +120,22 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
         raise DataError("split leaves an empty train or test set")
 
     rng = np.random.default_rng(seed)
-    if stratify:
-        y_codes_all = ds.codes(y)
-        train_idx, test_idx = [], []
-        for cat in range(ds.var(y).size):
-            members = np.flatnonzero(y_codes_all == cat)
-            members = members[rng.permutation(members.size)]
-            k = int(round(train_frac * members.size))
-            train_idx.append(members[:k])
-            test_idx.append(members[k:])
-        train_idx = np.concatenate(train_idx)
-        test_idx = np.concatenate(test_idx)
-        if train_idx.size < 1 or test_idx.size < 1:
-            raise DataError("split leaves an empty train or test set")
-    else:  # rng.permutation(m) shuffles an arange too: the same draws
-        perm = np.arange(m, dtype=_code_dtype([m]))
-        rng.shuffle(perm)
-        train_idx, test_idx = perm[:n_train], perm[n_train:]
+    # rng.shuffle permutes a stratum in place as indexing it by rng.permutation would.
+    strata = (_strata(ds.codes(y), ds.var(y).size) if stratify
+              else [np.arange(m, dtype=_code_dtype([m]))])
+    train_idx, test_idx = [], []
+    for members in strata:
+        rng.shuffle(members)
+        k = int(round(train_frac * members.size))
+        train_idx.append(members[:k])
+        test_idx.append(members[k:])
+    train_idx, test_idx = (p[0] if len(p) == 1 else np.concatenate(p)
+                           for p in (train_idx, test_idx))
+    del strata, members  # stratified, only the concatenated indices stay
+    if train_idx.size < 1 or test_idx.size < 1:
+        raise DataError("split leaves an empty train or test set")
 
-    # composite()'s cells without its labels (the association matrix holds none)
-    if isinstance(x, CompositeVariable):
-        parts, cells, nx = x.parts, x.codes, x.size
-    else:
-        parts = (x,) if isinstance(x, str) else tuple(x)
-        cells, nx = _compact(*_fold(ds, parts))
+    parts, cells, nx = _cells(ds, x)
     if y in parts:
         raise DataError(f"response {y!r} overlaps the explanatory parts")
     y_codes = ds.codes(y)

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .association import WeightVector, _group_sum, _pair_tau
-from .dataset import Dataset, _frozen, _join, composite
+from .dataset import Dataset, _cells, _frozen, _join, _strata
 from .errors import DataError, NumericDomainError
 from .selection import _resolve_weights, tau_joint
 
@@ -90,8 +90,7 @@ def stratified_bootstrap(ds: Dataset, strata_var: str,
     holds.  ``B`` replicates, two-sided percentile interval at ``level``.
     """
     _check_draws(B, level)
-    codes = ds.codes(strata_var)
-    strata = [np.flatnonzero(codes == k) for k in range(ds.var(strata_var).size)]
+    strata = _strata(ds.codes(strata_var), ds.var(strata_var).size)
     if any(s.size == 0 for s in strata):
         raise DataError("empty stratum")
 
@@ -112,7 +111,7 @@ def _pair_draws(n_is: np.ndarray, s: np.ndarray, n_y: int, B: int,
     draws from child k of ``seed`` and each stratum from its own child of
     that, so a replicate does not depend on ``B``."""
     per_chunk = max(1, _CHUNK // n_is.size)
-    strata = [np.flatnonzero(s == k) for k in range(n_y)]
+    strata = _strata(s, n_y)
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(-(-B // per_chunk))):
         counts = np.empty((min(per_chunk, B - k * per_chunk), n_is.size), np.int64)
         for pairs, stream in zip(strata, child.spawn(n_y)):
@@ -132,23 +131,21 @@ def count_bootstrap(ds: Dataset, y: str, fullset: Sequence[str],
     then those of ``B`` and ``level``.  Each set is encoded once, and its
     pairs in each replicate are sums of the full set's pair counts."""
     weights = _resolve_weights(ds, y, alpha)
-    sets = [[fullset] if isinstance(fullset, str) else list(fullset)]
     if subset is None:
-        point = tau_joint(ds, y, sets[0], alpha=weights)
+        sets, point = [fullset], tau_joint(ds, y, fullset, alpha=weights)
     else:
-        sets.append([subset] if isinstance(subset, str) else list(subset))
-        point = retention_ratio(ds, y, sets[1], sets[0], alpha=weights)
+        sets, point = [fullset, subset], retention_ratio(ds, y, subset, fullset, alpha=weights)
     _check_draws(B, level)
     y_domain = ds.var(y).domain
     n_y = len(y_domain)
-    comps = [composite(ds, names) for names in sets]
-    keys, first, n_is = np.unique(_join(comps[0].codes, comps[0].size, ds.codes(y), n_y)[0],
+    coded = [_cells(ds, names)[1:] for names in sets]
+    keys, first, n_is = np.unique(_join(*coded[0], ds.codes(y), n_y)[0],
                                   return_index=True, return_counts=True)
     s = keys % n_y
     # Each set's pairs in key order, and the one holding each full-set pair.
-    groups = [np.unique(_join(c.codes[first], c.size, s, n_y)[0], return_inverse=True)
-              for c in comps]
-    degrees = np.empty((len(comps), B))
+    groups = [np.unique(_join(codes[first], size, s, n_y)[0], return_inverse=True)
+              for codes, size in coded]
+    degrees = np.empty((len(coded), B))
     done = 0
     for counts in _pair_draws(n_is, s, n_y, B, seed):
         for (set_keys, holder), out in zip(groups, degrees):

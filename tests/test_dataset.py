@@ -31,8 +31,8 @@ from catassoc import (
     to_joint,
 )
 from catassoc import dataset as dataset_module
-from catassoc.dataset import (_GROUP_CAP, _count, _dense, _distinct_rows, _pair_counts,
-                              _step_pairs, _unique)
+from catassoc.dataset import (_GROUP_CAP, _cells, _count, _dense, _distinct_rows, _pair_counts,
+                              _step_pairs, _strata, _unique)
 from catassoc.fixtures import loan_dataset
 
 from conftest import coded_datasets, random_dataset
@@ -652,6 +652,35 @@ class TestComposite:
         ds = loan_dataset()
         with pytest.raises(DataError):
             composite(ds, ["Age", "Nope"])
+
+    def test_bare_name_is_one_part(self):
+        ds = loan_dataset()
+        comp = composite(ds, "Age")
+        assert comp.parts == ("Age",)
+        assert comp.domain == composite(ds, ["Age"]).domain
+        assert comp.codes.tolist() == ds.codes("Age").tolist()
+
+    @pytest.mark.parametrize("spec", ["Age", ["Age"], ["Age", "Income"], ("Income", "Age")])
+    def test_cells_are_composite_without_labels(self, spec):
+        ds = loan_dataset()
+        comp = composite(ds, spec)
+        for x in (spec, comp):
+            parts, codes, size = _cells(ds, x)
+            assert (parts, size) == (comp.parts, comp.size)
+            assert codes.tolist() == comp.codes.tolist()
+
+
+class TestStrata:
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=300), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_ascending_indices_of_each_code(self, codes, extra):
+        codes = np.array(codes, np.uint8)
+        n = int(codes.max()) + 1 + extra
+        strata = _strata(codes, n)
+        assert len(strata) == n
+        for k, members in enumerate(strata):
+            assert members.dtype == (np.uint8 if codes.size <= 256 else np.uint16)
+            assert members.tolist() == np.flatnonzero(codes == k).tolist()
 
 
 class TestCompositeAgainstUnique:

@@ -363,17 +363,19 @@ class TestSplitValidateMemory:
         assert res.n_train + res.n_test == ds.n_records
         assert peak < 20 * ds.n_records, peak
 
-    def test_flu_split_memory_slope(self):
+    @pytest.mark.parametrize("stratify", [False, True])
+    def test_flu_split_memory_slope(self, stratify):
         """Past 200k records, a 1M-record split adds at most 8 bytes a record:
         the permutation's 4 and the training split's narrow codes.  The test
         records are drawn and tallied in blocks, and every count is blocked
-        (13.4 bytes a record when neither was)."""
+        (13.4 bytes a record when neither was).  A stratified split keeps only
+        its concatenated narrow indices (15.7 bytes a record with int64 ones)."""
         peaks = []
         for m in (200_000, 1_000_000):
             ds = gen_flu(m, seed=4)
             tracemalloc.start()
             try:
-                split_validate(ds, ["X1", "X2"], "Y", seed=4)
+                split_validate(ds, ["X1", "X2"], "Y", seed=4, stratify=stratify)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
