@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .association import _determination
-from .dataset import Dataset, _compact, _distinct_rows, _fold, _pair_counts
+from .dataset import Dataset, _cells, _distinct_rows, _fold, _pair_counts, _parts
 from .errors import DataError
 from .selection import SelectionTrace, _forward_backward
 
@@ -75,10 +75,8 @@ def ep(ds: Dataset, vars: Sequence[str]) -> EpValue:
     :func:`structural_basis` scores candidates, so both give equal values
     for one variable set.
     """
-    vars = [vars] if isinstance(vars, str) else list(vars)
-    if not vars:
-        raise DataError("ep needs at least one variable")
-    return EpValue(_pair_ep(_pair_counts(*_fold(ds, vars))), tuple(vars))
+    vars = _parts(vars)
+    return EpValue(_pair_ep(_pair_counts(*_fold(ds, vars))), vars)
 
 
 def structural_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> SelectionTrace:
@@ -124,12 +122,11 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9) -> BasisR
     """
     if not eps >= 0:
         raise DataError("eps must be nonnegative")
-    basis = list(basis)
     if not basis:
         raise DataError("empty basis")
     names = list(ds.names)
     ds, w = _distinct_rows(ds)
-    cells_b = _compact(*_fold(ds, basis))[0]
+    basis, cells_b = _cells(ds, basis)[:2]
     columns = [ds.codes(nm) for nm in names]
 
     verdicts = [_determination(cells_b, c, eps, w) for c in columns]  # (a) and (c)
@@ -143,12 +140,12 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9) -> BasisR
         for _ in range(min(32, 2 ** len(names) - 1)):
             k = int(rng.integers(1, len(names) + 1))
             sub = [names[i] for i in sorted(rng.choice(len(names), size=k, replace=False))]
-            if not _determination(cells_b, _compact(*_fold(ds, sub))[0], eps, w)[0]:
+            if not _determination(cells_b, _cells(ds, sub)[1], eps, w)[0]:
                 subsets_ok = False
                 break
 
     # (d) minimality; the composite of no variables is one cell
-    reduced = (_compact(*_fold(ds, [nm for nm in basis if nm != v]))[0]
+    reduced = (_cells(ds, [nm for nm in basis if nm != v])[1]
                if len(basis) > 1 else np.zeros_like(cells_b) for v in basis)
     minimal = not any(all(_determination(cells, c, eps, w)[0] for c in columns)
                       for cells in reduced)

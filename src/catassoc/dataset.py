@@ -690,11 +690,7 @@ def _fold(ds: Dataset, names: Sequence[str],
     re-ranked by :func:`_compact` only when the next part would make its range too large
     to count: a few passes over the records per part.  None once a re-ranked prefix of
     ``names`` has more than ``most`` observed keys: the whole composite has as many or more."""
-    names = list(names)
-    if not names:
-        raise DataError("composite needs at least one variable")
-    if len(set(names)) != len(names):
-        raise DataError("composite parts must be distinct")
+    names = _parts(names)
     sizes = [ds.var(nm).size for nm in names]
     keys, n_keys = ds.codes(names[0]), sizes[0]
     for nm, size in zip(names[1:], sizes[1:]):
@@ -805,12 +801,27 @@ def _step_pairs(keys: np.ndarray, n_keys: int, y: np.ndarray | None, n_y: int,
 VarSpec = Union[str, Sequence[str], CompositeVariable]
 
 
-def _cells(ds: Dataset, x: VarSpec) -> tuple[tuple[str, ...], np.ndarray, int]:
-    """:func:`composite`'s parts, cell codes and cell count for ``x`` (a name, names or
-    a composite) without its labels: the one place a variable spec becomes cells."""
+def _parts(x: VarSpec, y: str | None = None) -> tuple[str, ...]:
+    """The part names of ``x`` (a name, names or a composite), some and distinct, and
+    without the response ``y`` if one is given: the one place a variable spec becomes names."""
+    parts = (x.parts if isinstance(x, CompositeVariable)
+             else (x,) if isinstance(x, str) else tuple(x))
+    if not parts:
+        raise DataError("composite needs at least one variable")
+    if len(set(parts)) != len(parts):
+        raise DataError("composite parts must be distinct")
+    if y in parts:
+        raise DataError(f"response {y!r} overlaps the explanatory parts")
+    return parts
+
+
+def _cells(ds: Dataset, x: VarSpec,
+           y: str | None = None) -> tuple[tuple[str, ...], np.ndarray, int]:
+    """:func:`composite`'s parts (:func:`_parts`), cell codes and cell count for ``x``
+    without its labels: the one place a variable spec becomes cells."""
+    parts = _parts(x, y)
     if isinstance(x, CompositeVariable):
-        return x.parts, x.codes, x.size
-    parts = (x,) if isinstance(x, str) else tuple(x)
+        return parts, x.codes, x.size
     return (parts, *_compact(*_fold(ds, parts)))
 
 
@@ -841,19 +852,14 @@ def composite(ds: Dataset, names: VarSpec) -> CompositeVariable:
     return CompositeVariable(names, tuple(zip(*labels)), codes.astype(np.int64))
 
 
-def _resolve_x(ds: Dataset, x: VarSpec) -> tuple[str, tuple, np.ndarray, tuple[str, ...]]:
-    """Normalize an x-spec to (name, domain, codes, part names)."""
-    if isinstance(x, str):
-        return x, ds.var(x).domain, ds.codes(x), (x,)
-    comp = x if isinstance(x, CompositeVariable) else composite(ds, x)
-    return comp.name, comp.domain, comp.codes, comp.parts
-
-
 def contingency(ds: Dataset, x: VarSpec, y: str) -> ContingencyTable:
-    """Cross-classify X (variable or composite) against a response Y."""
-    x_name, x_domain, x_codes, parts = _resolve_x(ds, x)
-    if y in parts:
-        raise DataError(f"response {y!r} overlaps the explanatory parts")
+    """Cross-classify X (variable, over its full domain, or composite) against a response Y."""
+    if isinstance(x, str):
+        x_name, x_domain, x_codes = x, ds.var(x).domain, ds.codes(x)
+    else:
+        x = x if isinstance(x, CompositeVariable) else composite(ds, x)
+        x_name, x_domain, x_codes = x.name, x.domain, x.codes
+    _parts(x, y)  # once the names resolve: an unknown name is reported first
     yv = ds.var(y)
     nx, ny = len(x_domain), yv.size
     counts = _count(_join(x_codes, nx, ds.codes(y), ny)[0], nx * ny).reshape(nx, ny)
@@ -906,10 +912,7 @@ class WeightedPopulation:
 
     def joint(self, xs: Sequence[str], y: str) -> JointDistribution:
         """Exact two-way joint of the composite of ``xs`` against ``y``."""
-        xs = [xs] if isinstance(xs, str) else list(xs)
-        if y in xs:
-            raise DataError(f"response {y!r} overlaps the explanatory parts")
-        x, yv = composite(self.support, xs), self.support.var(y)
+        x, yv = composite(self.support, _parts(xs, y)), self.support.var(y)
         p = np.bincount(_join(x.codes, x.size, self.support.codes(y), yv.size)[0], self.probs,
                         minlength=x.size * yv.size).reshape(x.size, yv.size)
         return JointDistribution(p / p.sum(), x.domain, yv.domain)

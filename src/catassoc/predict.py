@@ -135,9 +135,7 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
     if train_idx.size < 1 or test_idx.size < 1:
         raise DataError("split leaves an empty train or test set")
 
-    parts, cells, nx = _cells(ds, x)
-    if y in parts:
-        raise DataError(f"response {y!r} overlaps the explanatory parts")
+    cells, nx = _cells(ds, x, y)[1:]
     y_codes = ds.codes(y)
     ny = ds.var(y).size
 

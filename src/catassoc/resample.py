@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .association import WeightVector, _group_sum, _pair_tau
-from .dataset import Dataset, _cells, _frozen, _join, _strata
+from .dataset import Dataset, _cells, _frozen, _join, _parts, _strata
 from .errors import DataError, NumericDomainError
 from .selection import _resolve_weights, tau_joint
 
@@ -128,8 +128,9 @@ def count_bootstrap(ds: Dataset, y: str, fullset: Sequence[str],
     """Percentile bootstrap, within response strata, of ``tau_joint(ds, y,
     fullset)`` or, given ``subset``, of ``retention_ratio(ds, y, subset,
     fullset)``.  The errors of ``alpha`` come first, then the statistic's,
-    then those of ``B`` and ``level``.  Each set is encoded once, and its
-    pairs in each replicate are sums of the full set's pair counts."""
+    then those of ``B`` and ``level``.  The point estimate encodes each set
+    through that statistic; the replicates encode it once more, and its pairs
+    in each replicate are sums of the full set's pair counts."""
     weights = _resolve_weights(ds, y, alpha)
     if subset is None:
         sets, point = [fullset], tau_joint(ds, y, fullset, alpha=weights)
@@ -170,9 +171,7 @@ def retention_ratio(ds: Dataset, y: str, subset: Sequence[str],
     to the degree given the full composite.  At most 1 up to rounding,
     since adding variables never decreases the degree.
     """
-    subset = [subset] if isinstance(subset, str) else list(subset)
-    fullset = [fullset] if isinstance(fullset, str) else list(fullset)
-    if not set(subset) <= set(fullset):
+    if not set(_parts(subset)) <= set(_parts(fullset)):
         raise DataError("subset must be contained in fullset")
     denom = tau_joint(ds, y, fullset, alpha=alpha)
     if denom <= 0:

@@ -24,7 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .association import WeightVector, _pair_tau, make_weights
-from .dataset import Dataset, _compact, _count, _fold, _join, _pair_counts, _step_pairs
+from .dataset import (Dataset, _compact, _count, _fold, _join, _pair_counts, _parts,
+                      _step_pairs)
 from .errors import DataError
 
 #: Default improvement threshold on exact (non-sampled) data.
@@ -86,13 +87,8 @@ def tau_joint(ds: Dataset, y: str, xs: Sequence[str],
     as :func:`select_basis` scores candidates, so both give equal values
     for one variable set; memory is linear in the records.
     """
-    xs = [xs] if isinstance(xs, str) else list(xs)
     w = _resolve_weights(ds, y, alpha)
-    if not xs:
-        raise DataError("tau_joint needs at least one explanatory variable")
-    if y in xs:
-        raise DataError(f"response {y!r} appears among the explanatory variables")
-    pairs = _pair_counts(*_fold(ds, xs), ds.codes(y), ds.var(y).size)
+    pairs = _pair_counts(*_fold(ds, _parts(xs, y)), ds.codes(y), ds.var(y).size)
     return _pair_tau(pairs, ds.var(y).domain, w)
 
 

@@ -530,13 +530,13 @@ class TestSubsetCheck:
         basis = ["B1", "B2", "B3", "B4"]
         sizes = []
 
-        def spy(d, names):
+        def spy(d, names, most=None):
             sizes.append(d.n_records)
-            return fold(d, names)
+            return fold(d, names, most)
 
-        fold = basis_module._fold
+        fold = dataset_module._fold
         with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as rng, \
-                mock.patch.object(basis_module, "_fold", spy):
+                mock.patch.object(dataset_module, "_fold", spy):
             for eps in (0.0, 1e-9, 0.0137):
                 assert verify_basis(ds, basis, eps=eps).passed
             assert rng.call_count == 0
