@@ -205,7 +205,8 @@ class Dataset:
         """Build a dataset from label columns.
 
         Domains default to first-occurrence order of the observed labels;
-        pass ``domains`` to pin an explicit ordering.
+        pass ``domains`` to pin an explicit ordering.  Each column is factorized
+        (:func:`_factorize`) and only its distinct labels are looked up in a domain.
         """
         if not columns:
             raise DataError("no columns given")
@@ -213,22 +214,17 @@ class Dataset:
         code_cols = []
         m = None
         for name, col in columns.items():
-            col = list(col)
+            labels, codes = _factorize(list(col))
             if m is None:
-                m = len(col)
-            elif len(col) != m:
+                m = codes.size
+            elif codes.size != m:
                 raise DataError("columns have unequal lengths")
-            if domains and name in domains:
-                dom = tuple(domains[name])
-            else:
-                dom = tuple(dict.fromkeys(col))
+            dom = tuple(domains[name]) if domains and name in domains else tuple(labels)
             lut = {lab: i for i, lab in enumerate(dom)}
-            try:
-                code_cols.append([lut[lab] for lab in col])
+            try:  # labels are in first-occurrence order: the first missing one is named
+                code_cols.append(np.array([lut[lab] for lab in labels], np.int64)[codes])
             except KeyError as e:
-                raise DataError(
-                    f"label {e.args[0]!r} not in pinned domain of {name!r}"
-                ) from None
+                raise DataError(f"label {e.args[0]!r} not in pinned domain of {name!r}") from None
             variables.append(Variable(name, dom))
         # The transpose of a C-order array is column-major, as stored.
         return cls(variables, np.array(code_cols, _code_dtype(v.size for v in variables)).T)
@@ -818,10 +814,9 @@ def _parts(x: VarSpec, y: str | None = None) -> tuple[str, ...]:
 def _cells(ds: Dataset, x: VarSpec,
            y: str | None = None) -> tuple[tuple[str, ...], np.ndarray, int]:
     """:func:`composite`'s parts (:func:`_parts`), cell codes and cell count for ``x``
-    without its labels: the one place a variable spec becomes cells."""
+    without its labels: the one place a variable spec becomes cells.  A composite is
+    read by its part names, folded from ``ds``, whatever dataset it was built on."""
     parts = _parts(x, y)
-    if isinstance(x, CompositeVariable):
-        return parts, x.codes, x.size
     return (parts, *_compact(*_fold(ds, parts)))
 
 
@@ -833,7 +828,8 @@ def _strata(codes: np.ndarray, n: int) -> list[np.ndarray]:
 
 
 def composite(ds: Dataset, names: VarSpec) -> CompositeVariable:
-    """Observed-tuple composite of several variables (or of one, given its name).
+    """Observed-tuple composite of several variables (or of one, given its name),
+    on ``ds``: a composite given as ``names`` is rebuilt from its part names.
 
     The domain holds only tuples that occur in the data, sorted by part
     codes; its size is bounded by both the record count and the product
@@ -854,16 +850,13 @@ def composite(ds: Dataset, names: VarSpec) -> CompositeVariable:
 
 def contingency(ds: Dataset, x: VarSpec, y: str) -> ContingencyTable:
     """Cross-classify X (variable, over its full domain, or composite) against a response Y."""
-    if isinstance(x, str):
-        x_name, x_domain, x_codes = x, ds.var(x).domain, ds.codes(x)
-    else:
-        x = x if isinstance(x, CompositeVariable) else composite(ds, x)
-        x_name, x_domain, x_codes = x.name, x.domain, x.codes
+    xv = ds.var(x) if isinstance(x, str) else composite(ds, x)
+    x_codes = ds.codes(x) if isinstance(x, str) else xv.codes
     _parts(x, y)  # once the names resolve: an unknown name is reported first
     yv = ds.var(y)
-    nx, ny = len(x_domain), yv.size
+    nx, ny = xv.size, yv.size
     counts = _count(_join(x_codes, nx, ds.codes(y), ny)[0], nx * ny).reshape(nx, ny)
-    return ContingencyTable(x_name, y, tuple(x_domain), yv.domain, counts)
+    return ContingencyTable(xv.name, y, tuple(xv.domain), yv.domain, counts)
 
 
 def to_joint(ct: ContingencyTable) -> JointDistribution:

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .association import WeightVector, _group_sum, _pair_tau
-from .dataset import Dataset, _cells, _frozen, _join, _parts, _strata
+from .dataset import Dataset, _cells, _compact, _count, _frozen, _join, _parts, _strata, _unique
 from .errors import DataError, NumericDomainError
 from .selection import _resolve_weights, tau_joint
 
@@ -62,7 +62,8 @@ def _percentile(point: float, reps: np.ndarray, level: float, seed: int) -> Boot
     """The interval ends equal ``np.quantile(reps, [(1 - level) / 2,
     (1 + level) / 2])`` bitwise: numpy's "linear" method, its index rules
     and its interpolation, over one sort.  (``np.quantile`` itself imports
-    all of ``numpy.ma``, through ``np.unique``.)"""
+    all of ``numpy.ma``, through ``np.unique`` with no ``return_*`` flag; a
+    call with one, as every call in the package is, does not.)"""
     ordered = np.sort(reps)
     top = ordered.size - 1
     ends = []
@@ -129,8 +130,10 @@ def count_bootstrap(ds: Dataset, y: str, fullset: Sequence[str],
     fullset)`` or, given ``subset``, of ``retention_ratio(ds, y, subset,
     fullset)``.  The errors of ``alpha`` come first, then the statistic's,
     then those of ``B`` and ``level``.  The point estimate encodes each set
-    through that statistic; the replicates encode it once more, and its pairs
-    in each replicate are sums of the full set's pair counts."""
+    through that statistic; the replicates encode it once more (:func:`_cells`),
+    rank the observed (full-set cell, response) pairs in key order and count them
+    (:func:`_compact`, :func:`_count`), and a set's pairs in each replicate are
+    sums of the full set's pair counts."""
     weights = _resolve_weights(ds, y, alpha)
     if subset is None:
         sets, point = [fullset], tau_joint(ds, y, fullset, alpha=weights)
@@ -140,12 +143,12 @@ def count_bootstrap(ds: Dataset, y: str, fullset: Sequence[str],
     y_domain = ds.var(y).domain
     n_y = len(y_domain)
     coded = [_cells(ds, names)[1:] for names in sets]
-    keys, first, n_is = np.unique(_join(*coded[0], ds.codes(y), n_y)[0],
-                                  return_index=True, return_counts=True)
-    s = keys % n_y
+    ranks, n_pairs = _compact(*_join(*coded[0], ds.codes(y), n_y))
+    first = np.empty(n_pairs, np.int64)
+    first[ranks] = np.arange(ranks.size)  # one record of each full-set pair
+    n_is, s = _count(ranks, n_pairs), ds.codes(y)[first]
     # Each set's pairs in key order, and the one holding each full-set pair.
-    groups = [np.unique(_join(codes[first], size, s, n_y)[0], return_inverse=True)
-              for codes, size in coded]
+    groups = [_unique(_join(codes[first], size, s, n_y)[0]) for codes, size in coded]
     degrees = np.empty((len(coded), B))
     done = 0
     for counts in _pair_draws(n_is, s, n_y, B, seed):

@@ -12,12 +12,14 @@ from catassoc import (
     NumericDomainError,
     SelectionTrace,
     Variable,
+    composite,
     first_pick_tiebreak,
     gk_tau_direct,
     joint_from_counts,
     make_weights,
 )
 from catassoc.association import _pair_tau
+from catassoc.resample import _pair_draws
 
 # ---------------------------------------------------------------------
 # random-object generators (seeded by the caller for reproducibility)
@@ -310,6 +312,18 @@ def reference_structural(ds, eps):
     return reference_forward_backward(
         ds, list(ds.names), lambda vs: slow_ep(ds, vs),
         minimize=True, start=1.0, eps=eps, metric="ep")
+
+
+def count_replicates(ds, y, fullset, B, seed):
+    """The record sets the count-level replicates of ``count_bootstrap`` stand
+    for: each observed (full-set cell, response) pair's first record, repeated
+    as often as the replicate counts the pair."""
+    n_y = ds.var(y).size
+    keys = composite(ds, fullset).codes * n_y + ds.codes(y)
+    _, first, n_is = np.unique(keys, return_index=True, return_counts=True)
+    for counts in _pair_draws(n_is, ds.codes(y)[first], n_y, B, seed):
+        for row in counts:
+            yield ds.take(np.repeat(first, row))
 
 
 def outcome(run):

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from catassoc.association import make_weights
 from catassoc.cli import EXIT_DATA, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from catassoc.dataset import composite, read_csv
+from catassoc.dataset import read_csv
 from catassoc.fixtures import loan_dataset
-from catassoc.resample import (_pair_draws, count_bootstrap, retention_ratio,
-                               stratified_bootstrap)
+from catassoc.resample import count_bootstrap, retention_ratio, stratified_bootstrap
 from catassoc.selection import tau_joint, y_marginal
+
+from conftest import count_replicates
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +185,7 @@ class TestBootstrapCommand:
         assert got["point"] == by_names(ds) == lib.point
         assert (got["mean"], got["ci_low"], got["ci_high"]) == (lib.mean, lib.ci_low,
                                                                 lib.ci_high)
-        expected = [by_names(d) for d in _count_replicates(ds, "Y", full, 120, 8)]
+        expected = [by_names(d) for d in count_replicates(ds, "Y", full, 120, 8)]
         assert lib.replicates.tolist() == expected
 
         got = cli(2000)
@@ -207,18 +208,6 @@ class TestBootstrapCommand:
         assert main(["bootstrap", "-i", str(p), "--stat", "retention",
                      "--response", "Y", "--B", "20", "--seed", "1"]) == EXIT_DOMAIN
         assert capsys.readouterr().err == "error: full-set association degree is zero\n"
-
-
-def _count_replicates(ds, y, fullset, B, seed):
-    """The record sets the count-level replicates stand for: each observed
-    (full-set cell, response) pair's first record, repeated as often as the
-    replicate counts the pair."""
-    n_y = ds.var(y).size
-    keys = composite(ds, fullset).codes * n_y + ds.codes(y)
-    _, first, n_is = np.unique(keys, return_index=True, return_counts=True)
-    for counts in _pair_draws(n_is, ds.codes(y)[first], n_y, B, seed):
-        for row in counts:
-            yield ds.take(np.repeat(first, row))
 
 
 def _within_six_standard_errors(result, ref, B, level=0.95):

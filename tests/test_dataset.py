@@ -144,6 +144,55 @@ class TestIngest:
         assert (fast, fast) == _reference_outcomes(text, "drop_row")
 
 
+def _reference_label_columns(columns, domains):
+    """Domains and codes of ``from_label_columns`` by ``dict.fromkeys`` and a
+    lookup of every label, or the error it gives."""
+    result = []
+    for name, col in columns.items():
+        dom = tuple(domains.get(name, dict.fromkeys(col)))
+        missing = [lab for lab in col if lab not in dom]
+        if missing:
+            return f"label {missing[0]!r} not in pinned domain of {name!r}"
+        result.append((dom, [dom.index(lab) for lab in col]))
+    return result
+
+
+@st.composite
+def label_columns(draw):
+    """One to three label columns of equal length, each pinned or not to a
+    domain that may lack observed labels or hold unobserved ones."""
+    labels = ["a", "b", "c", "q", "\u00e9", ""]
+    m = draw(st.integers(1, 20))
+    columns, domains = {}, {}
+    for name in ["A", "B", "C"][:draw(st.integers(1, 3))]:
+        columns[name] = draw(st.lists(st.sampled_from(labels), min_size=m, max_size=m))
+        if draw(st.booleans()):
+            domains[name] = draw(st.permutations(labels))[:draw(st.integers(1, len(labels)))]
+    return columns, domains
+
+
+class TestFromLabelColumns:
+    @given(label_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_dict_reference(self, case):
+        columns, domains = case
+        try:
+            ds = Dataset.from_label_columns(columns, domains or None)
+        except DataError as e:
+            got = str(e)
+        else:
+            got = [(v.domain, ds.codes(v.name).tolist()) for v in ds.variables]
+        assert got == _reference_label_columns(columns, domains)
+
+    def test_names_first_label_missing_from_pinned_domain(self):
+        with pytest.raises(DataError, match="^label 'q' not in pinned domain of 'A'$"):
+            Dataset.from_label_columns({"A": ["x", "q", "r", "q"]}, domains={"A": ["x"]})
+
+    def test_unequal_lengths(self):
+        with pytest.raises(DataError, match="^columns have unequal lengths$"):
+            Dataset.from_label_columns({"A": ["x", "y"], "B": ["u"]})
+
+
 def _loop_ingest(rows, missing_policy):
     """Row-by-row reference for ingestion: every record is checked and
     encoded on its own."""

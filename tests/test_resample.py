@@ -20,8 +20,9 @@ from catassoc import (
 )
 from catassoc import resample
 from catassoc.cli import EXIT_DOMAIN, main
+from catassoc.dataset import _cells, _dense
 
-from conftest import random_dataset
+from conftest import count_replicates, random_dataset
 
 
 class TestStratifiedBootstrap:
@@ -198,6 +199,25 @@ class TestCountBootstrap:
         with pytest.raises(NumericDomainError, match="full-set association degree is zero"):
             count_bootstrap(ds, "Y", ["X"], ["X"], B=20, seed=1)
         assert count_bootstrap(ds, "Y", ["X"], B=20, seed=1).ci_low == 0.0
+
+    @pytest.mark.parametrize("subset", [None, ["A"]], ids=["tau", "retention"])
+    def test_sort_route_replicates_are_their_records_statistics(self, subset):
+        # 300 records in nearly distinct (A, B) cells against 40 responses,
+        # every one observed: a pair range too wide to count, so it is sorted.
+        rng = np.random.default_rng(15)
+        ds = Dataset.from_label_columns({
+            "A": [f"a{v}" for v in rng.integers(0, 60, 300)],
+            "B": [f"b{v}" for v in rng.integers(0, 60, 300)],
+            "Y": [f"y{v}" for v in np.concatenate([np.arange(40), rng.integers(0, 40, 260)])]})
+        assert not _dense(_cells(ds, ["A", "B"])[2] * 40, ds.n_records)
+        res = count_bootstrap(ds, "Y", ["A", "B"], subset, B=40, seed=7)
+        if subset is None:
+            expected = [tau_joint(d, "Y", ["A", "B"]) for d in
+                        count_replicates(ds, "Y", ["A", "B"], 40, 7)]
+        else:
+            expected = [retention_ratio(d, "Y", subset, ["A", "B"]) for d in
+                        count_replicates(ds, "Y", ["A", "B"], 40, 7)]
+        assert res.replicates.tolist() == expected
 
     def test_memory_is_bounded_by_the_chunk(self):
         # 20,000 records in 20,000 full-set cells: one (replicates x pairs)

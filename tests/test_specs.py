@@ -13,6 +13,7 @@ from catassoc import (
     contingency,
     count_bootstrap,
     ep,
+    gen_flu,
     retention_ratio,
     split_validate,
     tau_joint,
@@ -60,6 +61,33 @@ TAKES_A_SET = {
     "split_validate": lambda ds, x: split_validate(ds, x, "Risk", seed=2),
     "WeightedPopulation.joint": _joint,
 }
+
+
+def _bootstrap_bytes(ds, full, sub=None):
+    res = count_bootstrap(ds, "Y", full, sub, B=50, seed=1)
+    return res.point, res.replicates.tobytes()
+
+
+#: Callers of a set on the flu data, each scored for the composite of
+#: (X1, X2) built on another dataset and for the names themselves.
+ON_ANOTHER_DATASET = {
+    "composite": lambda ds, x: _plain(composite(ds, x)),
+    "contingency": lambda ds, x: _plain(contingency(ds, x, "Y")),
+    "split_validate": lambda ds, x: _plain(split_validate(ds, x, "Y", seed=1)),
+    "count_bootstrap fullset": _bootstrap_bytes,
+    "count_bootstrap subset": lambda ds, x: _bootstrap_bytes(ds, ["X1", "X2", "R3"], x),
+    "verify_basis": lambda ds, x: _plain(verify_basis(ds.take(np.arange(500)), x)),
+}
+
+
+class TestCompositeOfAnotherDataset:
+    """A composite is read by its part names on the dataset it is passed with,
+    never by the codes it stores for the dataset it was built on."""
+
+    @pytest.mark.parametrize("call", ON_ANOTHER_DATASET.values(), ids=ON_ANOTHER_DATASET.keys())
+    def test_same_as_its_names(self, call):
+        c, ds = composite(gen_flu(1000, 1), ["X1", "X2"]), gen_flu(1000, 2)
+        assert call(ds, c) == call(ds, ["X1", "X2"])
 
 
 class TestBareName:

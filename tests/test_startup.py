@@ -58,10 +58,17 @@ def test_environment_is_left_as_it_was(preset, after):
     assert out.strip() == after
 
 
-def test_bootstrap_does_not_import_numpy_ma():
+@pytest.mark.parametrize("argv", [
+    ["bootstrap", "-i", "loan", "--stat", "tau", "--response", "Risk", "--B", "200",
+     "--seed", "1", "--format", "json"],
+    ["select", "-i", "loan", "--response", "Risk"],
+    ["validate", "-i", "loan", "--x", "Age", "--y", "Risk", "--seed", "1"],
+], ids=["bootstrap", "select", "validate"])
+def test_command_does_not_import_numpy_ma(argv):
+    """``numpy.ma`` takes ~9 ms to import; a bare ``np.unique(a)`` or
+    ``np.quantile`` would load it."""
     out = _run("import sys\n"
                "from catassoc.cli import main\n"
-               "rc = main(['bootstrap', '-i', 'loan', '--stat', 'tau', '--response',\n"
-               "           'Risk', '--B', '200', '--seed', '1', '--format', 'json'])\n"
+               f"rc = main({argv!r})\n"
                "print(rc, 'numpy.ma' in sys.modules)\n")
     assert out.splitlines()[-1] == "0 False"
