@@ -26,7 +26,7 @@ import numpy as np
 
 from .association import _determination
 from .dataset import Dataset, _cells, _distinct_rows, _fold, _pair_counts, _parts
-from .errors import DataError
+from .errors import DataError, _check_tol
 from .selection import SelectionTrace, _forward_backward
 
 #: Default tolerance for Ep comparisons on exact data.
@@ -92,8 +92,7 @@ def structural_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> SelectionTrace:
     half the records: every (cell, value) count is that of the records, so
     every score, forward and backward, equals :func:`ep` bitwise.
     """
-    if not eps >= 0:
-        raise DataError("eps must be nonnegative")
+    _check_tol(eps, "eps")
     names = list(ds.names)
     if not names:
         raise DataError("dataset has no variables")
@@ -120,8 +119,7 @@ def verify_basis(ds: Dataset, basis: Sequence[str], eps: float = 1e-9) -> BasisR
     records as :func:`structural_basis` does: the counts, and so every
     verdict, are those of the records.  Memory is linear in the records.
     """
-    if not eps >= 0:
-        raise DataError("eps must be nonnegative")
+    _check_tol(eps, "eps")
     if not basis:
         raise DataError("empty basis")
     names = list(ds.names)
@@ -164,8 +162,7 @@ def minimal_basis(ds: Dataset, eps: float = DEFAULT_EPS) -> tuple[str, ...]:
     the test is exact: the subset has as many observed cells as the full
     set, since Ep strictly drops whenever a cell splits.
     """
-    if not eps >= 0:
-        raise DataError("eps must be nonnegative")
+    _check_tol(eps, "eps")
     names = list(ds.names)
     if len(names) > 20:
         raise DataError("exhaustive basis search is limited to 20 variables")

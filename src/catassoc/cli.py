@@ -136,34 +136,16 @@ def _json_out(cfg: RunConfig, result: dict) -> str:
     return rep.stable_json({"config": asdict(cfg), "result": result})
 
 
-def _dataset_csv(ds: Dataset) -> str:
-    buf = io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(ds.names)
-    w.writerows(zip(*(ds.labels(nm) for nm in ds.names)))
-    return buf.getvalue()
-
-
-def _cmd_matrix(cfg: RunConfig) -> str:
-    ds = _load(cfg)
-    j = contingency(ds, cfg.x, cfg.y)
+def _cmd_table(cfg: RunConfig) -> str:
+    """``matrix`` and ``vector``: JSON holds both, text and CSV the command's own."""
+    j = contingency(_load(cfg), cfg.x, cfg.y)
     if cfg.format == "json":
         return _json_out(cfg, rep.association_report(j))
-    gamma = association_matrix(j)
+    matrix = cfg.command == "matrix"
+    table = association_matrix(j).gamma if matrix else association_vector(j).theta
     if cfg.format == "csv":
-        return rep.matrix_csv(gamma.gamma, gamma.y_domain)
-    return rep.matrix_text(gamma.gamma, gamma.y_domain, gamma.y_domain)
-
-
-def _cmd_vector(cfg: RunConfig) -> str:
-    ds = _load(cfg)
-    j = contingency(ds, cfg.x, cfg.y)
-    if cfg.format == "json":
-        return _json_out(cfg, rep.association_report(j))
-    theta = association_vector(j)
-    if cfg.format == "csv":
-        return rep.matrix_csv(theta.theta[None, :], theta.y_domain)
-    return rep.matrix_text(theta.theta[None, :], theta.y_domain)
+        return rep.matrix_csv(table, j.y_domain)
+    return rep.matrix_text(table, j.y_domain, j.y_domain if matrix else None)
 
 
 def _cmd_tau(cfg: RunConfig) -> str:
@@ -276,40 +258,36 @@ def _cmd_bootstrap(cfg: RunConfig) -> str:
     }
     if cfg.format == "json":
         return _json_out(cfg, result)
-    return ("stat: {stat}   point: {p}   mean: {m}   "
-            "ci: [{lo}, {hi}]   B: {B}   n: {n}   seed: {seed}").format(
-        stat=cfg.stat, p=rep.fmt4(res.point), m=rep.fmt4(res.mean),
-        lo=rep.fmt4(res.ci_low), hi=rep.fmt4(res.ci_high),
-        B=cfg.B, n=ds.n_records, seed=res.seed)
+    text = {k: rep.fmt4(v) if isinstance(v, float) else v for k, v in result.items()}
+    return ("stat: {stat}   point: {point}   mean: {mean}   ci: [{ci_low}, {ci_high}]   "
+            "B: {B}   n: {n}   seed: {seed}").format(**text)
 
 
-def _cmd_simulate(cfg: RunConfig) -> str:
-    ds = gen_flu(cfg.n, cfg.seed)
+def _cmd_dataset(cfg: RunConfig) -> str:
+    """``simulate`` and ``fixtures``: the dataset as CSV, or its size and columns."""
+    simulate = cfg.command == "simulate"
+    ds = gen_flu(cfg.n, cfg.seed) if simulate else fixture(cfg.name)
     if cfg.format == "json":
-        return _json_out(cfg, {"n": ds.n_records, "seed": cfg.seed,
-                               "columns": list(ds.names)})
-    return _dataset_csv(ds)
-
-
-def _cmd_fixtures(cfg: RunConfig) -> str:
-    ds = fixture(cfg.name)
-    if cfg.format == "json":
-        return _json_out(cfg, {"name": cfg.name, "n": ds.n_records,
-                               "columns": list(ds.names)})
-    return _dataset_csv(ds)
+        made_by = {"seed": cfg.seed} if simulate else {"name": cfg.name}
+        return _json_out(cfg, {**made_by, "n": ds.n_records, "columns": list(ds.names)})
+    buf = io.StringIO()
+    w = _csv.writer(buf, lineterminator="\n")
+    w.writerow(ds.names)
+    w.writerows(zip(*(ds.labels(nm) for nm in ds.names)))
+    return buf.getvalue()
 
 
 _COMMANDS = {
-    "matrix": _cmd_matrix,
-    "vector": _cmd_vector,
+    "matrix": _cmd_table,
+    "vector": _cmd_table,
     "tau": _cmd_tau,
     "equiv": _cmd_equiv,
     "select": _cmd_select,
     "basis": _cmd_basis,
     "validate": _cmd_validate,
     "bootstrap": _cmd_bootstrap,
-    "simulate": _cmd_simulate,
-    "fixtures": _cmd_fixtures,
+    "simulate": _cmd_dataset,
+    "fixtures": _cmd_dataset,
 }
 
 

@@ -27,13 +27,10 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import DataError, NumericDomainError
+from .errors import PROB_ATOL, DataError, NumericDomainError, _check_counts, _check_probs
 
 MISSING = ""
 MISSING_LABEL = "NA"
-
-#: Tolerance for probability-sum invariants on derived distributions.
-PROB_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -249,9 +246,7 @@ class ContingencyTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if (counts < 0).any():
-            raise DataError("negative counts")
+        counts = _check_counts(self.counts, dtype=np.int64)
         object.__setattr__(self, "counts", _frozen(counts, np.int64))
 
     @property
@@ -263,8 +258,8 @@ class ContingencyTable:
 class JointDistribution:
     """Plug-in joint distribution of (X, Y), marginals summed on each access.
 
-    Invariants (checked on construction): all entries nonnegative and total
-    mass 1 within ``PROB_ATOL``.
+    Invariants (checked on construction): all entries finite and nonnegative,
+    and total mass 1 within ``PROB_ATOL``.
     """
 
     p_xy: np.ndarray
@@ -275,11 +270,7 @@ class JointDistribution:
         p = np.asarray(self.p_xy, dtype=np.float64)
         if p.ndim != 2:
             raise DataError("p_xy must be a matrix")
-        if (p < 0).any():
-            raise DataError("negative probabilities")
-        if abs(p.sum() - 1.0) > PROB_ATOL:
-            raise DataError("joint probabilities do not sum to 1")
-        object.__setattr__(self, "p_xy", _frozen(p, np.float64))
+        object.__setattr__(self, "p_xy", _frozen(_check_probs(p, "joint"), np.float64))
 
     @property
     def p_x(self) -> np.ndarray:
@@ -873,8 +864,7 @@ def joint_from_counts(counts, x_domain=None, y_domain=None) -> JointDistribution
     total = counts.sum()
     if total <= 0:
         raise NumericDomainError("counts sum to zero")
-    if (counts < 0).any():
-        raise DataError("negative counts")
+    _check_counts(counts)
     nx, ny = counts.shape
     xd = tuple(x_domain) if x_domain is not None else tuple(str(i) for i in range(nx))
     yd = tuple(y_domain) if y_domain is not None else tuple(str(i) for i in range(ny))
@@ -896,8 +886,7 @@ class WeightedPopulation:
         self.probs = np.asarray(probs, dtype=np.float64)
         if self.probs.shape != (self.support.n_records,):
             raise DataError("one probability per support cell is needed")
-        if abs(self.probs.sum() - 1.0) > PROB_ATOL:
-            raise DataError("population probabilities do not sum to 1")
+        _check_probs(self.probs, "population")
 
     def marginal(self, name: str) -> np.ndarray:
         return np.bincount(self.support.codes(name), self.probs,

@@ -30,7 +30,7 @@ from . import exact as _exact
 from .association import (WeightVector, _determination, association_matrix,
                           association_vector, tau)
 from .dataset import Dataset, _count, contingency
-from .errors import DataError, NumericDomainError
+from .errors import DataError, NumericDomainError, _check_tol
 from .selection import _resolve_weights
 
 #: Default tolerance for equality of association quantities.
@@ -67,6 +67,7 @@ def e2prime(ds: Dataset, x1: str, x2: str, tol: float = DEFAULT_TOL) -> bool:
     """
     if x1 == x2:
         raise DataError("e2prime needs two distinct variables")
+    _check_tol(tol, "tol")
     a, b = ds.codes(x1), ds.codes(x2)
     return _determination(b, a, tol)[0] and _determination(a, b, tol)[0]
 
@@ -92,10 +93,8 @@ def equivalence_levels(ds: Dataset, x1: str, x2: str, y: str,
         raise DataError("x1, x2, y must be three distinct variables")
     for nm in (x1, x2, y):
         ds.var(nm)
-    if exact:
-        tol = 0.0
-    elif not tol >= 0:  # a negative tol would let level 1 hold without level 3
-        raise DataError("tol must be nonnegative")
+    # a negative tol would let level 1 hold without level 3
+    tol = 0.0 if exact else _check_tol(tol, "tol")
     for nm in (y, x1, x2):  # each is the response of a tau below
         n = _count(ds.codes(nm), ds.var(nm).size)
         if not n.all():

@@ -115,10 +115,6 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
     if not 0.0 < train_frac < 1.0:
         raise DataError("train_frac must be strictly between 0 and 1")
     m = ds.n_records
-    n_train = int(round(train_frac * m))
-    if n_train < 1 or n_train >= m:
-        raise DataError("split leaves an empty train or test set")
-
     rng = np.random.default_rng(seed)
     # rng.shuffle permutes a stratum in place as indexing it by rng.permutation would.
     strata = (_strata(ds.codes(y), ds.var(y).size) if stratify

@@ -28,7 +28,7 @@ import numpy as np
 
 from .association import WeightVector, _group_sum, _pair_tau
 from .dataset import Dataset, _cells, _compact, _count, _frozen, _join, _parts, _strata, _unique
-from .errors import DataError, NumericDomainError
+from .errors import DataError, NumericDomainError, _check_size
 from .selection import _resolve_weights, tau_joint
 
 #: Largest number of (replicate, pair) counts drawn at once.
@@ -52,8 +52,7 @@ class BootstrapResult:
 
 
 def _check_draws(B: int, level: float) -> None:
-    if B < 1:
-        raise DataError("B must be at least 1")
+    _check_size(B, "B")
     if not 0.0 < level < 1.0:
         raise DataError("level must be strictly between 0 and 1")
 

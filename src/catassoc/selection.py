@@ -26,7 +26,7 @@ import numpy as np
 from .association import WeightVector, _pair_tau, make_weights
 from .dataset import (Dataset, _compact, _count, _fold, _join, _pair_counts, _parts,
                       _step_pairs)
-from .errors import DataError
+from .errors import DataError, _check_tol
 
 #: Default improvement threshold on exact (non-sampled) data.
 DEFAULT_EPS_GAIN = 1e-9
@@ -173,8 +173,7 @@ def select_basis(ds: Dataset, y: str,
     memory is linear in the records; every score, forward and backward,
     equals ``tau_joint`` of its variable set bitwise.
     """
-    if not eps_gain >= 0:
-        raise DataError("eps_gain must be nonnegative")
+    _check_tol(eps_gain, "eps_gain")
     y_domain, weights = ds.var(y).domain, _resolve_weights(ds, y, alpha)
     explanatory = [nm for nm in ds.names if nm != y]
     if not explanatory:

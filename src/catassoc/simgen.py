@@ -34,7 +34,7 @@ from .dataset import (
     Variable,
     WeightedPopulation,
 )
-from .errors import DataError
+from .errors import PROB_ATOL, DataError, _check_size
 from .predict import _draw
 
 _CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -62,11 +62,14 @@ class FluSpec:
     z_prob: float = 0.80
 
     def __post_init__(self):
-        if abs(sum(self.p_x1x2) - 1.0) > 1e-12:
-            raise DataError("p_x1x2 must sum to 1")
-        for row in self.cond_y:
-            if abs(sum(row) - 1.0) > 1e-12:
-                raise DataError("every conditional row of cond_y must sum to 1")
+        # Plain Python (DEFAULT_FLU runs it at import); ``not 0 <= p`` refuses NaN.
+        rows = [("p_x1x2", self.p_x1x2), ("carry_prob", (self.carry_prob, 1 - self.carry_prob)),
+                ("z_prob", (self.z_prob, 1 - self.z_prob))]
+        for name, row in rows + [("every conditional row of cond_y", r) for r in self.cond_y]:
+            if not all(0 <= p for p in row):
+                raise DataError(f"{name} must lie in [0, 1]")
+            if abs(sum(row) - 1.0) > PROB_ATOL:
+                raise DataError(f"{name} must sum to 1")
 
 
 DEFAULT_FLU = FluSpec()
@@ -89,8 +92,7 @@ def gen_flu(n: int, seed: int, spec: FluSpec = DEFAULT_FLU) -> Dataset:
     Column order is Y, X1, X2, R3, R4, S5 with pinned domains, so the
     category indexing never depends on the seed.
     """
-    if n < 1:
-        raise DataError("n must be at least 1")
+    _check_size(n, "n")
     rng = np.random.default_rng(seed)
     cell = _draw(np.asarray(spec.p_x1x2), rng.random(n))
     x1 = np.asarray([c[0] for c in _CELLS])[cell]
@@ -132,8 +134,7 @@ def sample_joint(j: JointDistribution | ContingencyTable, n: int, seed: int,
     so the coding is seed-independent.  Composite x-categories become
     single labels joined by ``|``.
     """
-    if n < 1:
-        raise DataError("n must be at least 1")
+    _check_size(n, "n")
     j = _as_joint(j)
     rng = np.random.default_rng(seed)
     flat = j.p_xy.ravel()
@@ -154,8 +155,7 @@ def add_independent_noise(ds: Dataset, k: int, n_categories: int,
     Used to stress feature selection: the new columns carry no
     information about anything and must never enter a selected basis.
     """
-    if k < 1:
-        raise DataError("k must be at least 1")
+    _check_size(k, "k")
     rng = np.random.default_rng(seed)
     m = ds.n_records
     new_vars = list(ds.variables)

@@ -388,6 +388,18 @@ class TestInputContract:
         assert main(["select", "-i", "loan", "--response", "Risk"]) == EXIT_DATA
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", [str(10**20), str(2**62)])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "flu", "--seed", "1", "--n"],
+        ["bootstrap", "-i", "loan", "--stat", "tau", "--response", "Risk", "--seed", "1", "--B"],
+    ])
+    def test_impossible_size_exit_code(self, argv, size, capsys):
+        # sizes numpy refuses before it allocates anything
+        assert main(argv + [size]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {argv[0]}: not enough memory for this input\n"
+
     def test_out_of_memory_exit_code(self, monkeypatch, capsys):
         def verify_basis(*args, **kwargs):
             raise MemoryError
@@ -418,7 +430,7 @@ def _fuzz_files(root):
 _INPUTS = {"loan": ["Age", "Risk", "Credit"], "tenths": ["X1", "X2", "Y"],
            "survey": ["X", "Y"], "{valid}": ["X1", "X2", "Y", "Risk"],
            "{quoted}": ["X1", "X2", "Y"], "{latin1}": [], "{ragged}": [], "nope": []}
-_BAD = ["", ",", "-1", "nan", "inf", "x"]
+_BAD = ["", ",", "-1", "nan", "inf", "x", "100000000000000000000"]
 #: Valid values of each flag that takes no variable names; --B, --n and
 #: --seed stay small, so a call tests the contract and not the memory.
 _VALUES = {"real": ["0", "1e-9", "0.01", "0.5"], "frac": ["0.5", "0.8", "0.95"],
@@ -448,7 +460,8 @@ def _cli_calls(draw):
     """An argv of one subcommand.  Each flag is present or not, and takes a
     value from a small pool of valid values or, one time in ten, from a
     pool of invalid ones: empty, a lone comma, negative, non-finite, not a
-    number, and unknown or duplicate variables.  ``--out`` names a file in
+    number, 10^20 (more than any array holds, so numpy refuses it before it
+    allocates), and unknown or duplicate variables.  ``--out`` names a file in
     a temporary directory, or one in a directory that does not exist."""
     mostly = st.sampled_from([True] * 9 + [False])
     command = draw(st.sampled_from(sorted(_FLAGS)))
@@ -499,6 +512,9 @@ class TestExitCodeFuzz:
                    "--format", "json"])
     @example(argv=["equiv", "-i", "tenths", "--x1", "X1", "--x2", "X2", "--y", "Y",
                    "--tol", "inf", "--format", "json"])
+    @example(argv=["simulate", "flu", "--n", str(2**62), "--seed", "1"])
+    @example(argv=["bootstrap", "-i", "loan", "--stat", "tau", "--response", "Risk",
+                   "--B", str(2**62), "--seed", "1"])
     def test_every_call_ends_in_a_documented_exit_code(self, argv, files, capsys):
         argv = [files.get(a, a) for a in argv]
         capsys.readouterr()

@@ -23,10 +23,12 @@ from catassoc import (
     JointDistribution,
     NumericDomainError,
     Variable,
+    WeightedPopulation,
     WeightVector,
     composite,
     contingency,
     ingest_records,
+    joint_from_counts,
     read_csv,
     to_joint,
 )
@@ -610,6 +612,62 @@ class TestValueTypes:
         with pytest.raises(DataError):
             build(given)
         assert given.flags.writeable
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCountsAndProbabilities:
+    """Counts are finite and nonnegative, and whole where stored as integers;
+    probabilities also sum to 1.  A refused value raises no RuntimeWarning first."""
+
+    @pytest.mark.parametrize("counts, message", [
+        ([[_NAN, 1], [1, 1]], "counts must be finite"),
+        ([[_INF, 1], [1, 1]], "counts must be finite"),
+        ([[-1, 1], [1, 1]], "negative counts"),
+    ])
+    def test_joint_from_counts(self, counts, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            joint_from_counts(counts)
+
+    def test_joint_from_zero_sum_counts(self):
+        with pytest.raises(NumericDomainError, match="counts sum to zero"):
+            joint_from_counts([[-1, 1], [0, 0]])
+
+    @pytest.mark.parametrize("p, message", [
+        ([[_NAN, 0.5], [0.25, 0.25]], "probabilities must be finite"),
+        ([[_INF, 0.5], [0.25, 0.25]], "probabilities must be finite"),
+        ([[0.5, 0.5], [0.5, -0.5]], "negative probabilities"),
+        ([[0.5, 0.5], [0.5, 0.5]], "joint probabilities do not sum to 1"),
+    ])
+    def test_joint_distribution(self, p, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            JointDistribution(p, ("a", "b"), ("u", "v"))
+
+    @pytest.mark.parametrize("counts, message", [
+        ([[2.5, 1], [1, 3.7]], "counts must be whole numbers"),
+        ([[_NAN, 1], [1, 3]], "counts must be finite"),
+        ([[_INF, 1], [1, 3]], "counts must be finite"),
+        ([[-2.5, 1], [1, 3]], "negative counts"),
+        ([[-2, 1], [1, 3]], "negative counts"),
+    ])
+    def test_contingency_table(self, counts, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            ContingencyTable("A", "B", ("a", "b"), ("u", "v"), counts)
+
+    def test_contingency_table_takes_whole_floats(self):
+        ct = ContingencyTable("A", "B", ("a", "b"), ("u", "v"), [[2.0, 1.0], [1.0, 3.0]])
+        assert ct.counts.dtype == np.int64 and ct.counts.tolist() == [[2, 1], [1, 3]]
+
+    @pytest.mark.parametrize("probs, message", [
+        ((-0.5, 1.0, 0.5), "negative probabilities"),
+        ((_NAN, 0.5, 0.5), "probabilities must be finite"),
+        ((0.5, 0.5, 0.5), "population probabilities do not sum to 1"),
+    ])
+    def test_weighted_population(self, probs, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            WeightedPopulation((Variable("X", ("a", "b")),), np.array([[0], [1], [1]]), probs)
 
 
 class TestCodeDtype:

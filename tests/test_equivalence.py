@@ -84,6 +84,15 @@ class TestE2Prime:
         with pytest.raises(DataError):
             e2prime(tenths_dataset(), "X1", "X1")
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_tol_rejected(self, tol):
+        # as equivalence_levels refuses it
+        with pytest.raises(DataError, match="tol must be nonnegative"):
+            e2prime(tenths_dataset(), "X1", "X2", tol=tol)
+
+    def test_infinite_tol_accepted(self):
+        assert e2prime(tenths_dataset(), "X1", "X2", tol=float("inf"))
+
     def test_relabeled_copy_at_tol_zero(self):
         rng = np.random.default_rng(12)
         for _ in range(200):

@@ -26,6 +26,13 @@ from conftest import count_replicates, random_dataset
 
 
 class TestStratifiedBootstrap:
+    @pytest.mark.parametrize("B", [10**20, 2**62])
+    def test_impossible_B_is_out_of_memory(self, B):
+        def stat(d):  # B is checked before any work, and before B seeds are spawned
+            raise AssertionError("the statistic ran")
+        with pytest.raises(MemoryError):
+            stratified_bootstrap(random_dataset(np.random.default_rng(0)), "V0", stat, B=B)
+
     def test_constant_statistic(self):
         ds = random_dataset(np.random.default_rng(0))
         res = stratified_bootstrap(ds, "V0", lambda d: 7.5, B=50, seed=1)
@@ -191,6 +198,12 @@ class TestCountBootstrap:
             count_bootstrap(ds, "Y", FLU_FULL, B=0, level=2.0, seed=0)
         with pytest.raises(DataError, match="level must be strictly"):
             count_bootstrap(ds, "Y", FLU_FULL, B=5, level=1.0, seed=0)
+
+    @pytest.mark.parametrize("B", [10**20, 2**62])
+    def test_impossible_B_is_out_of_memory(self, B):
+        # sizes numpy refuses before it allocates anything
+        with pytest.raises(MemoryError):
+            count_bootstrap(gen_flu(200, seed=13), "Y", FLU_FULL, B=B, seed=0)
 
     def test_replicate_with_zero_full_degree_rejected(self):
         # A replicate that misses the one "d" record has a constant X.

@@ -72,6 +72,36 @@ class TestGenFlu:
         with pytest.raises(DataError):
             gen_flu(0, seed=0)
 
+    @pytest.mark.parametrize("n", [10**20, 2**62])
+    def test_impossible_n_is_out_of_memory(self, n):
+        # sizes numpy refuses before it allocates anything
+        with pytest.raises(MemoryError):
+            gen_flu(n, seed=0)
+
+
+_NAN = float("nan")
+
+
+class TestFluSpec:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"p_x1x2": (1.25, -0.25, 0, 0)}, r"p_x1x2 must lie in \[0, 1\]"),
+        ({"p_x1x2": (_NAN, 0.5, 0.25, 0.25)}, r"p_x1x2 must lie in \[0, 1\]"),
+        ({"p_x1x2": (0.5, 0.5, 0.5, 0.0)}, "p_x1x2 must sum to 1"),
+        ({"cond_y": ((1.5, -0.5, 0.0),) * 4}, "every conditional row of cond_y must lie in"),
+        ({"cond_y": ((0.5, 0.6, 0.0),) * 4}, "every conditional row of cond_y must sum to 1"),
+        ({"carry_prob": 1.5}, r"carry_prob must lie in \[0, 1\]"),
+        ({"carry_prob": -0.1}, r"carry_prob must lie in \[0, 1\]"),
+        ({"z_prob": _NAN}, r"z_prob must lie in \[0, 1\]"),
+    ])
+    def test_rejected(self, kwargs, message):
+        with pytest.raises(DataError, match=message):
+            FluSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"carry_prob": 0.0}, {"carry_prob": 1.0},
+                                        {"z_prob": 1.0}, {"p_x1x2": (1.0, 0.0, 0.0, 0.0)}])
+    def test_bounds_accepted(self, kwargs):
+        FluSpec(**kwargs)
+
 
 class TestPopulationJoint:
     def test_mass_and_support(self):
@@ -169,6 +199,11 @@ class TestSampleJoint:
         j_target = to_joint(ct)
         j_emp = to_joint(contingency(ds, "X", "Y"))
         assert np.abs(j_emp.p_xy - j_target.p_xy).max() < 0.01
+
+    @pytest.mark.parametrize("n", [10**20, 2**62])
+    def test_impossible_n_is_out_of_memory(self, n):
+        with pytest.raises(MemoryError):
+            sample_joint(survey_table(), n, seed=0)
 
     def test_domains_pinned(self):
         ct = survey_table()

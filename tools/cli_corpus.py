@@ -6,7 +6,9 @@
 The first form imports ``catassoc`` from the directory ``SRC`` (the
 ``src`` folder of a checkout), runs every command of the corpus in-process
 through ``catassoc.cli.main`` and writes, per command, its exit code, its
-stdout, its stderr and the bytes of any ``--out`` file to ``OUT.json``.
+stdout, its stderr and the bytes of any ``--out`` file to ``OUT.json``.  An
+exception that escapes ``main`` is recorded as the command's result, with
+the code ``"exception"`` and the exception's type and message as stderr.
 The inputs are written to a temporary directory, whose path reads
 ``{dir}`` in the commands and in what they print, so two checkouts give
 comparable files.  The second form lists the commands whose records
@@ -226,6 +228,13 @@ def corpus(inputs: dict[str, list[str]]) -> list[tuple[list[str], dict]]:
         ["simulate", "flu", "--n", "30", "--seed", "2"],
         ["simulate", "flu", "--n", "30", "--seed", "2", "--format", "json"],
         ["simulate", "flu", "--n", "0", "--seed", "2"],
+        # sizes numpy refuses before it allocates anything
+        ["simulate", "flu", "--n", str(10**20), "--seed", "1"],
+        ["simulate", "flu", "--n", str(2**62), "--seed", "1"],
+        ["bootstrap", "-i", "loan", "--stat", "tau", "--response", "Risk",
+         "--B", str(10**20), "--seed", "1"],
+        ["bootstrap", "-i", "loan", "--stat", "tau", "--response", "Risk",
+         "--B", str(2**62), "--seed", "1"],
         ["simulate", "nope", "--n", "3", "--seed", "2"],
         ["fixtures", "--name", "nope"],
         ["nope"],
@@ -288,7 +297,7 @@ def record(src: str) -> dict[str, dict]:
             out_path = next((b for a, b in zip(real, real[1:]) if a == "--out"), None)
             # Only the command's own overrides of the tolerance defaults apply.
             environ = {k: v for k, v in os.environ.items() if not k.startswith("CATASSOC_")}
-            stdout, stderr = io.StringIO(), io.StringIO()
+            stdout, stderr, error = io.StringIO(), io.StringIO(), None
             with mock.patch.dict(os.environ, environ | env, clear=True), \
                     contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
                     warnings.catch_warnings():
@@ -297,8 +306,10 @@ def record(src: str) -> dict[str, dict]:
                     code = main(real)
                 except SystemExit as e:
                     code = e.code
+                except Exception as e:  # recorded, so that every command is compared
+                    code, error = "exception", f"{type(e).__name__}: {e}\n"
             rec = {"code": code, "stdout": stdout.getvalue().replace(tmp, "{dir}"),
-                   "stderr": stderr.getvalue().replace(tmp, "{dir}")}
+                   "stderr": (error or stderr.getvalue()).replace(tmp, "{dir}")}
             if out_path and os.path.exists(out_path):
                 rec["out"] = Path(out_path).read_text(encoding="utf-8").replace(tmp, "{dir}")
                 os.remove(out_path)
