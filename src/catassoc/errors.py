@@ -40,17 +40,32 @@ def _check_tol(tol: float, name: str) -> float:
 
 
 def _check_counts(values, what: str = "counts", dtype=np.float64) -> np.ndarray:
-    """``values`` as ``dtype``, finite and nonnegative, and whole if ``dtype`` is
-    an integer type.  An input of ``dtype`` is returned as it is, not copied."""
+    """``values`` as ``dtype``, finite and nonnegative, and whole and within its
+    range if ``dtype`` is an integer type.  An input of ``dtype`` is returned as
+    it is, not copied."""
     a = np.asarray(values)
     a = a if a.dtype.kind in "biu" else np.asarray(a, np.float64)
     if (a < 0).any():
         raise DataError(f"negative {what}")
     if not np.isfinite(a).all():
         raise DataError(f"{what} must be finite")
-    if a.dtype.kind == "f" and np.dtype(dtype).kind == "i" and (a % 1).any():
-        raise DataError(f"{what} must be whole numbers")
+    if np.dtype(dtype).kind == "i":
+        if a.dtype.kind == "f" and (a % 1).any():
+            raise DataError(f"{what} must be whole numbers")
+        bits = np.iinfo(dtype).bits - 1
+        if a.dtype.kind in "fu" and (a >= 2**bits).any():  # exact as a float and unsigned
+            raise DataError(f"{what} must be below 2^{bits}")
     return a.astype(dtype, copy=False)
+
+
+def _check_table(table: np.ndarray, what: str, shape: tuple[int, int] | None = None) -> None:
+    """A table is a matrix, of ``shape`` if one is given: one row for each X
+    label and one column for each Y label."""
+    if table.ndim != 2:
+        raise DataError(f"{what} must be a matrix")
+    if shape is not None and table.shape != shape:
+        raise DataError(f"{what} of shape {table.shape} do not match "
+                        f"{shape[0]} X and {shape[1]} Y labels")
 
 
 def _check_probs(p, what: str) -> np.ndarray:

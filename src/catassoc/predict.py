@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import AssociationMatrix, JointLike, _as_joint, association_matrix
-from .dataset import (_BLOCK, Dataset, _cells, _code_dtype, _count, _frozen, _join, _strata,
-                      joint_from_counts)
+from .dataset import (_BLOCK, Dataset, _cells, _code_dtype, _count, _distinct_rows, _frozen,
+                      _join, _per_record, _strata, joint_from_counts)
 from .errors import DataError
 
 
@@ -111,13 +111,15 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
     The narrow index is shuffled per stratum, and test records are drawn and
     tallied in blocks of at least 65,536 and the training table's size: a split,
     stratified or not, grows about 7 bytes a record (gen_flu, 200k to 1M records).
+    On a dataset held counts-first, the cells and responses are those of its
+    distinct rows, read for each record by its row rank (:func:`_per_record`).
     """
     if not 0.0 < train_frac < 1.0:
         raise DataError("train_frac must be strictly between 0 and 1")
-    m = ds.n_records
+    m, rows = ds.n_records, _distinct_rows(ds, fold=False)[0]
     rng = np.random.default_rng(seed)
     # rng.shuffle permutes a stratum in place as indexing it by rng.permutation would.
-    strata = (_strata(ds.codes(y), ds.var(y).size) if stratify
+    strata = (_strata(_per_record(ds, rows.codes(y)), ds.var(y).size) if stratify
               else [np.arange(m, dtype=_code_dtype([m]))])
     train_idx, test_idx = [], []
     for members in strata:
@@ -131,8 +133,8 @@ def split_validate(ds: Dataset, x, y: str, train_frac: float = 0.8,
     if train_idx.size < 1 or test_idx.size < 1:
         raise DataError("split leaves an empty train or test set")
 
-    cells, nx = _cells(ds, x, y)[1:]
-    y_codes = ds.codes(y)
+    cells, nx = _cells(rows, x, y)[1:]
+    cells, y_codes = _per_record(ds, cells), _per_record(ds, rows.codes(y))
     ny = ds.var(y).size
 
     counts_train = _count(_join(cells[train_idx], nx, y_codes[train_idx], ny)[0],

@@ -95,10 +95,10 @@ def stratified_bootstrap(ds: Dataset, strata_var: str,
         raise DataError("empty stratum")
 
     point = float(stat(ds))
-    children = np.random.SeedSequence(seed).spawn(B)
     reps = np.empty(B)
     for b in range(B):
-        rng = np.random.default_rng(children[b])
+        # Child b of SeedSequence(seed).spawn(B), bitwise, without the list of all B.
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         parts = [s[rng.integers(0, s.size, s.size)] for s in strata]
         reps[b] = stat(ds.take(np.concatenate(parts)))
     return _percentile(point, reps, level, seed)

@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .association import WeightVector, _pair_tau, make_weights
-from .dataset import (Dataset, _compact, _count, _fold, _join, _pair_counts, _parts,
-                      _step_pairs)
+from .dataset import (Dataset, _compact, _count, _distinct_rows, _fold, _join, _pair_counts,
+                      _parts, _step_pairs)
 from .errors import DataError, _check_tol
 
 #: Default improvement threshold on exact (non-sampled) data.
@@ -65,9 +65,10 @@ class SelectionTrace:
 
 
 def y_marginal(ds: Dataset, y: str) -> np.ndarray:
-    """Plug-in marginal distribution of one variable."""
-    counts = _count(ds.codes(y), ds.var(y).size)
-    return counts / ds.n_records
+    """Plug-in marginal distribution of one variable, counted over the rows
+    a dataset stores (:func:`_distinct_rows`) with their weights."""
+    rows, weights = _distinct_rows(ds, fold=False)
+    return _count(rows.codes(y), rows.var(y).size, weights) / ds.n_records
 
 
 def _resolve_weights(ds: Dataset, y: str, alpha) -> WeightVector:
@@ -84,11 +85,12 @@ def tau_joint(ds: Dataset, y: str, xs: Sequence[str],
     """Association degree of the response given the composite of ``xs``.
 
     Counted from the observed (cell, value) pairs of ``xs`` against ``y``
-    as :func:`select_basis` scores candidates, so both give equal values
-    for one variable set; memory is linear in the records.
+    as :func:`select_basis` scores candidates, over the same rows, so both
+    give equal values for one variable set; memory is linear in the records.
     """
     w = _resolve_weights(ds, y, alpha)
-    pairs = _pair_counts(*_fold(ds, _parts(xs, y)), ds.codes(y), ds.var(y).size)
+    rows, weights = _distinct_rows(ds, fold=False)
+    pairs = _pair_counts(*_fold(rows, _parts(xs, y)), rows.codes(y), rows.var(y).size, weights)
     return _pair_tau(pairs, ds.var(y).domain, w)
 
 
@@ -171,13 +173,16 @@ def select_basis(ds: Dataset, y: str,
     records per group of candidates whose joint (cell, response, values)
     range is at most 2^16 (a sort for a candidate too wide to count), and
     memory is linear in the records; every score, forward and backward,
-    equals ``tau_joint`` of its variable set bitwise.
+    equals ``tau_joint`` of its variable set bitwise.  A dataset held
+    counts-first is searched over its distinct rows with their counts as
+    weights (:func:`_distinct_rows`): the same counts, so the same trace.
     """
     _check_tol(eps_gain, "eps_gain")
     y_domain, weights = ds.var(y).domain, _resolve_weights(ds, y, alpha)
     explanatory = [nm for nm in ds.names if nm != y]
     if not explanatory:
         raise DataError("no explanatory variables")
+    rows, w = _distinct_rows(ds, fold=False)
     return _forward_backward(
-        ds, explanatory, lambda pairs: _pair_tau(pairs, y_domain, weights),
-        y, minimize=False, start=0.0, eps=eps_gain, metric="tau")
+        rows, explanatory, lambda pairs: _pair_tau(pairs, y_domain, weights),
+        y, minimize=False, start=0.0, eps=eps_gain, metric="tau", weights=w)

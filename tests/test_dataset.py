@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -395,8 +396,9 @@ class TestLineHashCollisions:
         a, b = b"r869706,1,1,0,1,0,0", b"r869709,1,1,0,0,0,0"
         buf = bytearray(a + b"\n" + b + b"\n" + bytes(dataset_module._PAD))
         view = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
-        h = dataset_module._line_hashes(view, np.array([0, len(a) + 1]),
-                                        np.array([len(a), len(b)]))
+        starts, lengths = np.array([0, len(a) + 1]), np.array([len(a), len(b)])
+        words = dataset_module._line_words(view, starts, lengths)
+        h = dataset_module._line_hashes(view, starts, lengths, words)
         assert h[0] != h[1]
 
 
@@ -405,8 +407,8 @@ def _colliding_lengths(length):
     distinct lines of that length share a hash."""
     real = dataset_module._line_hashes
 
-    def hashes(view, starts, lengths):
-        h = real(view, starts, lengths)
+    def hashes(view, starts, lengths, words):
+        h = real(view, starts, lengths, words)
         h[lengths == length] = 7
         return h
     return hashes
@@ -506,6 +508,46 @@ class TestBlockEnds:
                    for j, nm in enumerate(ds.names))
         bound = path.stat().st_size + 2 * ds.records.nbytes + 100 * dataset_module._BLOCK
         assert peak < bound, (peak, bound)
+
+    def test_read_csv_memory_on_distinct_lines(self, tmp_path):
+        """100k lines, each distinct by its ID: besides the file's bytes, the
+        codes and the parsed rows (measured alone), one block's temporaries,
+        40 bytes a distinct line (its start, length, hash and slot) and its
+        stored words, three times over while their buffer grows."""
+        rng = np.random.default_rng(12)
+        n = 100_000
+        codes = np.column_stack([rng.integers(0, 3, n), rng.integers(0, 2, (n, 5))])
+        body = "".join(f"record{i}," + ",".join(map(str, r)) + "\n"
+                       for i, r in zip(rng.permutation(n).tolist(), codes.tolist()))
+        path = tmp_path / "ids.csv"
+        path.write_text("ID,Y,X1,X2,R3,R4,S5\n" + body)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            parsed = list(map(tuple, csv.reader(io.StringIO(body))))
+            rows = tracemalloc.get_traced_memory()[0] - base
+            del parsed
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ds = read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert ds.n_records == n and ds.var("ID").size == n
+        words = 8 * n * ((max(map(len, body.splitlines())) + 7) // 8)
+        bound = (path.stat().st_size + rows + 2 * ds.records.nbytes
+                 + 100 * dataset_module._BLOCK + 40 * n + 3 * words)
+        assert peak < bound, (peak, bound)
+
+    def test_read_csv_stored_words_grow_by_doubling(self, monkeypatch):
+        """Each block's new distinct lines append their words to a buffer whose
+        columns at least double when it is full: 20k distinct lines in blocks
+        of 256 take a few buffers, not one per block."""
+        monkeypatch.setattr(dataset_module, "_BLOCK", 256)
+        calls = _spy(monkeypatch, "_room")
+        ds = read_csv(io.StringIO("ID,V\n" + "".join(f"r{i},{i % 7}\n" for i in range(20_000))))
+        assert ds.var("ID").size == 20_000 and len(calls) == 79
+        assert sum(out is not args[0] for args, out in calls) <= 9
 
 
 class TestContingency:
@@ -619,8 +661,9 @@ _NAN, _INF = float("nan"), float("inf")
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCountsAndProbabilities:
-    """Counts are finite and nonnegative, and whole where stored as integers;
-    probabilities also sum to 1.  A refused value raises no RuntimeWarning first."""
+    """Counts are finite and nonnegative, and whole and below 2^63 where stored
+    as int64; tables are matrices of one row per X label by one column per Y
+    label; probabilities also sum to 1.  A refused value raises no RuntimeWarning first."""
 
     @pytest.mark.parametrize("counts, message", [
         ([[_NAN, 1], [1, 1]], "counts must be finite"),
@@ -655,6 +698,42 @@ class TestCountsAndProbabilities:
     def test_contingency_table(self, counts, message):
         with pytest.raises(DataError, match=f"^{message}$"):
             ContingencyTable("A", "B", ("a", "b"), ("u", "v"), counts)
+
+    @pytest.mark.parametrize("counts", [[[1e19, 1.0]], [[2.0**63, 1.0]],
+                                        np.array([[2**63, 1]], np.uint64),
+                                        np.array([[2**64 - 1, 1]], np.uint64)],
+                             ids=["1e19", "2^63 float", "2^63 uint64", "2^64-1 uint64"])
+    def test_contingency_table_counts_past_int64(self, counts):
+        with pytest.raises(DataError, match="^counts must be below 2\\^63$"):
+            ContingencyTable("A", "B", ("a",), ("u", "v"), counts)
+
+    def test_contingency_table_takes_the_largest_int64_counts(self):
+        top = np.iinfo(np.int64).max
+        for counts in ([[2.0**63 - 1024, 1.0]], np.array([[top, 1]], np.uint64)):
+            ct = ContingencyTable("A", "B", ("a",), ("u", "v"), counts)
+            assert ct.counts.tolist() == [[int(np.asarray(counts)[0, 0]), 1]]
+
+    @pytest.mark.parametrize("counts, message", [
+        ([1, 2], "counts must be a matrix"),
+        ([[[1, 2]]], "counts must be a matrix"),
+        ([[1], [2]], re.escape("counts of shape (2, 1) do not match 1 X and 2 Y labels")),
+        ([[1, 2, 3]], re.escape("counts of shape (1, 3) do not match 1 X and 2 Y labels")),
+    ], ids=["1-D", "3-D", "transposed", "extra column"])
+    def test_contingency_table_shape(self, counts, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            ContingencyTable("A", "B", ("a",), ("u", "v"), counts)
+
+    @pytest.mark.parametrize("counts, domains, message", [
+        ([1.0, 2.0], {}, "counts must be a matrix"),
+        (3.0, {}, "counts must be a matrix"),
+        ([[1.0, 2.0]], {"x_domain": ("a", "b")},
+         re.escape("p_xy of shape (1, 2) do not match 2 X and 2 Y labels")),
+        ([[1.0, 2.0]], {"y_domain": ("u",)},
+         re.escape("p_xy of shape (1, 2) do not match 1 X and 1 Y labels")),
+    ], ids=["1-D", "0-D", "x domain", "y domain"])
+    def test_joint_from_counts_shape(self, counts, domains, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            joint_from_counts(counts, **domains)
 
     def test_contingency_table_takes_whole_floats(self):
         ct = ContingencyTable("A", "B", ("a", "b"), ("u", "v"), [[2.0, 1.0], [1.0, 3.0]])

@@ -72,6 +72,34 @@ class TestStratifiedBootstrap:
         assert hi.ci_high - hi.ci_low >= lo.ci_high - lo.ci_low
         assert lo.ci_low <= lo.mean <= lo.ci_high
 
+    def test_replicate_b_draws_from_child_b(self):
+        """Child b of ``SeedSequence(seed).spawn(B)``, bitwise, as before the
+        children were derived one at a time."""
+        ds = random_dataset(np.random.default_rng(6))
+        stat = lambda d: float(np.mean(d.codes("V1") == 0) + np.mean(d.codes("V2")))
+        strata = [np.flatnonzero(ds.codes("V0") == k) for k in range(ds.var("V0").size)]
+        expected = []
+        for child in np.random.SeedSequence(11).spawn(30):
+            rng = np.random.default_rng(child)
+            expected.append(stat(ds.take(np.concatenate(
+                [s[rng.integers(0, s.size, s.size)] for s in strata]))))
+        res = stratified_bootstrap(ds, "V0", stat, B=30, seed=11)
+        assert res.replicates.tolist() == expected
+
+    def test_memory_does_not_hold_a_seed_per_replicate(self):
+        """5,000 replicates of a four-record table: the replicates and a sort of
+        them, not 5,000 seed sequences (about 1.9 MB before)."""
+        ds = Dataset([Variable("S", ("a", "b")), Variable("V", ("u", "v"))],
+                     [[0, 0], [1, 1], [0, 1], [1, 0]])
+        stratified_bootstrap(ds, "S", lambda d: 0.0, B=2)  # imports done
+        tracemalloc.start()
+        try:
+            stratified_bootstrap(ds, "S", lambda d: 0.0, B=5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * 5000, peak
+
     def test_errors(self):
         ds = random_dataset(np.random.default_rng(5))
         with pytest.raises(DataError):

@@ -22,8 +22,11 @@ with CRLF or no final newline, a blank line, long lines and labels that
 are not ASCII, and three of 2^16 + 8 records with a new label, a
 missing cell or a ragged row just past read_csv's first block of lines,
 and one of 160,000 records whose validate test split spans three blocks
-of test records, with cells unseen in training in each:
-about 3,300 commands, recorded in about 25 s on a 2-core Xeon virtual
+of test records, with cells unseen in training in each; and, each also with
+CRLF line ends, one whose blank and literal ``NA`` cells are one label
+under ``--missing as_category`` (run with either policy) and one with more
+than half its lines distinct:
+about 3,900 commands, recorded in about 30 s on a 2-core Xeon virtual
 machine.
 """
 
@@ -144,6 +147,23 @@ def _write_inputs(root: Path) -> dict[str, list[str]]:
                  rng.integers(10, 1510, 160_000))
     y = np.where(rng.random(160_000) < 0.6, x % 3, rng.integers(0, 3, 160_000))
     csv("validate_blocks.csv", ["X", "Y"], ([f"x{p}", f"y{q}"] for p, q in zip(x, y)))
+    # Counts-first edges: under --missing as_category, B's blank cells and
+    # literal NA cells are one label, so their lines are one row; in
+    # distinct.csv more than half the lines are distinct, so its records are
+    # kept.  Each also with CRLF line ends.
+    rng = np.random.default_rng(17)
+    a, b, c = rng.integers(0, [3, 4, 2], (400, 3)).T
+    y = np.where(rng.random(400) < 0.8, (a + b) % 3, rng.integers(0, 3, 400))
+    b_cells = np.where(b == 3, np.where(rng.random(400) < 0.5, "", "NA"), [f"b{v}" for v in b])
+    na_rows = [[f"a{p}", q, f"c{r}", f"y{t}"] for p, q, r, t in zip(a, b_cells, c, y)]
+    ids = rng.integers(0, 220, 300)
+    distinct_rows = [[f"r{i}", f"a{i % 3}", f"y{(i // 3 + (i % 7 == 0)) % 2}"] for i in ids]
+    for name, header, rows in (("na_blank", ["A", "B", "C", "Y"], na_rows),
+                               ("distinct", ["ID", "A", "Y"], distinct_rows)):
+        lines = [",".join(header)] + [",".join(r) for r in rows]
+        (root / f"{name}.csv").write_bytes(("\n".join(lines) + "\n").encode())
+        (root / f"{name}_crlf.csv").write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        inputs[f"{name}.csv"] = inputs[f"{name}_crlf.csv"] = header
     (root / "latin1.csv").write_bytes(b"A,Y\na,0\n\xff,1\n")
     (root / "ragged.csv").write_bytes(b"A,B,Y\na,b,0\nc,1\n")
     (root / "dup.csv").write_bytes(b"A,A,Y\na,b,0\n")
@@ -193,6 +213,9 @@ def corpus(inputs: dict[str, list[str]]) -> list[tuple[list[str], dict]]:
         cmds += _data_commands(name, cols, full=True)
     for name, cols in inputs.items():
         cmds += _data_commands("{dir}/" + name, cols, full=not name.startswith(("gen", "block")))
+    for name in ("na_blank.csv", "na_blank_crlf.csv"):
+        cmds += [argv + ["--missing", "as_category"]
+                 for argv in _data_commands("{dir}/" + name, inputs[name], full=True)]
     d = "{dir}/"
     cmds += [
         ["tau", "-i", d + "missing.csv", "--missing", "as_category", "--x", "A", "--y", "Y"],
